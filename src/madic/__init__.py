@@ -39,7 +39,6 @@ from .patterns import (
     canonical_pattern,
     check_first_move_map,
     comb_nodes,
-    extend_generator,
     find_pattern,
     subtree_embedding,
 )

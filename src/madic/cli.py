@@ -179,12 +179,6 @@ def _space_m(space) -> int:
     return space.family.m
 
 
-def _space_classes(space) -> int:
-    if isinstance(space, PartitionSpace):
-        return space.table.n
-    return space.family.n
-
-
 def _default_tests(space, gen: CombGenerator) -> list:
     m = _space_m(space)
     words = [Word(m)]
@@ -193,7 +187,7 @@ def _default_tests(space, gen: CombGenerator) -> list:
         for b in range(m):
             words.append(Word(m, (a, b)))
     tests: list = [NodeTest(w) for w in sorted(words, key=well_order_key)]
-    tests.extend(ClassTest(gen.branch, c) for c in range(_space_classes(space)))
+    tests.extend(ClassTest(gen.branch, c) for c in range(space.n))
     return tests
 
 

@@ -144,11 +144,6 @@ class FirstMoveCheck:
     extension: Optional[dict[Word, Word]] = None
 
 
-def _sorted_pairs(items: list[Word]) -> Iterable[tuple[Word, Word]]:
-    for s, t in itertools.combinations(items, 2):
-        yield s, t
-
-
 def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
     """Decide whether the map extends to a first-move equivalence.
 
@@ -174,10 +169,9 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
     # Witnesses on the caller's own nodes are the most readable, so pairs of
     # the original domain are examined before closure-internal pairs.
     dom_set = set(domain)
-    pair_seq = list(_sorted_pairs(sorted(domain, key=well_order_key)))
-    pair_seq += [
-        (s, t) for s, t in _sorted_pairs(closure) if not (s in dom_set and t in dom_set)
-    ]
+    pair_seq = list(itertools.combinations(sorted(domain, key=well_order_key), 2))
+    rest = itertools.combinations(closure, 2)
+    pair_seq += [(s, t) for s, t in rest if not (s in dom_set and t in dom_set)]
     # Condition 1 on the closure: meets map to meets.
     for s, t in pair_seq:
         if ext[meet(s, t)] != meet(ext[s], ext[t]):  # type: ignore[index]
@@ -288,6 +282,11 @@ class CombGenerator:
     def size(self) -> int:
         return len(self.depths)
 
+    def tooth(self, d: int) -> Word:
+        """The tooth that follows the branch to depth d and then moves j."""
+        node = self.branch.prefix(d)
+        return node if self.i == self.j else node.child(self.j)
+
 
 def _letter_positions(branch: Branch, letter: int, count: int) -> tuple[int, ...]:
     if count < 1:
@@ -311,31 +310,6 @@ def _letter_positions(branch: Branch, letter: int, count: int) -> tuple[int, ...
     return tuple(out)
 
 
-def extend_generator(gen: CombGenerator, count: int) -> CombGenerator:
-    """Same comb with at least count teeth, keeping the given depths."""
-    if count <= gen.size():
-        return gen
-    tail: list[int] = []
-    d = gen.depths[-1] + 1
-    # Past the stem a letter absent from the period never recurs.
-    limit = None if gen.i in gen.branch.period else len(gen.branch.stem)
-    while len(tail) < count - gen.size():
-        if limit is not None and d >= limit:
-            raise GeneratorExhaustedError(
-                f"letter {gen.i} recurs only finitely often on {gen.branch!r}"
-            )
-        if gen.branch.letter(d) == gen.i:
-            tail.append(d)
-        d += 1
-    return CombGenerator(gen.branch, gen.i, gen.j, gen.depths + tuple(tail))
-
-
 def comb_nodes(gen: CombGenerator) -> tuple[Word, ...]:
     """The teeth themselves, ordered with their meets along the branch."""
-    out = []
-    for d in gen.depths:
-        if gen.i == gen.j:
-            out.append(gen.branch.prefix(d))
-        else:
-            out.append(gen.branch.prefix(d).child(gen.j))
-    return tuple(out)
+    return tuple(gen.tooth(d) for d in gen.depths)

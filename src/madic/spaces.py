@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .patterns import CombGenerator, GeneratorError, comb_nodes, extend_generator
+from .patterns import CombGenerator, GeneratorError, GeneratorExhaustedError, comb_nodes
 from .words import (
     Branch,
     PrefixRelation,
@@ -49,6 +49,10 @@ class PartitionTable:
     _colors: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    # The class index of each letter pair, built once.
+    _index: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -60,10 +64,13 @@ class PartitionTable:
             for c in row:
                 if not isinstance(c, int) or c < 0:
                     raise SpaceError(f"colour {c!r} must be a nonnegative integer")
+        colors = tuple(sorted({c for row in vals for c in row}))
+        index = vals  # colours 0..n-1 are their own class indices
+        if colors != tuple(range(len(colors))):
+            index = tuple(tuple(colors.index(c) for c in row) for row in vals)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "_colors", tuple(sorted({c for row in vals for c in row}))
-        )
+        object.__setattr__(self, "_colors", colors)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def dense(
@@ -89,7 +96,7 @@ class PartitionTable:
         return self.values[i][j]
 
     def class_index(self, i: int, j: int) -> int:
-        return self._colors.index(self.values[i][j])
+        return self._index[i][j]
 
     def piece(self, cls: int) -> frozenset[tuple[int, int]]:
         colour = self._colors[cls]
@@ -200,12 +207,10 @@ def partition_value(
             return 1 if is_prefix(test.word, point.word) else 0
         return 1 if is_prefix(test.word, point.branch) else 0
     _check_class(test.cls, table.n)
-    piece = table.piece(test.cls)
-    if isinstance(point, NodePoint):
-        return 1 if incidence(test.branch, point.word) in piece else 0
-    if point.branch == test.branch:
+    other = point.word if isinstance(point, NodePoint) else point.branch
+    if other == test.branch:
         return 1 if point.cls == test.cls else 0
-    return 1 if incidence(test.branch, point.branch) in piece else 0
+    return 1 if table.class_index(*incidence(test.branch, other)) == test.cls else 0
 
 
 def scattered_value(
@@ -250,6 +255,10 @@ class PartitionSpace:
         return LimitPoint(gen.branch, self.table.class_index(gen.i, gen.j))
 
     @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
     def separation_arity(self) -> int:
         return self.table.n + 1
 
@@ -272,6 +281,10 @@ class ScatteredSpace:
             if cls is not None:
                 return LimitPoint(gen.branch, cls)
         return INFINITY
+
+    @property
+    def n(self) -> int:
+        return self.family.n
 
     @property
     def separation_arity(self) -> int:
@@ -305,7 +318,8 @@ class StabilizationReport:
 
 
 def _default_horizon(gen: CombGenerator, tests: Sequence[TestPoint]) -> int:
-    """Tooth count whose depths safely pass every test's decision point."""
+    """Horizon reported when none is given.  No scan runs up to it; it
+    exceeds the count of teeth no deeper than any test's decision depth."""
     x = gen.branch
     depth_bound = 2 * (len(x.stem) + len(x.period)) + 2
     for t in tests:
@@ -313,8 +327,16 @@ def _default_horizon(gen: CombGenerator, tests: Sequence[TestPoint]) -> int:
             depth_bound = max(depth_bound, len(t.word) + 2)
         else:
             depth_bound = max(depth_bound, branch_meet_horizon(x, t.branch) + 2)
-    # Depths grow at least by one per tooth, so this many teeth suffice.
     return depth_bound
+
+
+def _tooth_depths(gen: CombGenerator, count: int, deepest: int) -> list[int]:
+    """Depths up to deepest among the first count teeth: the generator's own
+    depths, then the later places where its branch reads i."""
+    x = gen.branch
+    later = (d for d in range(gen.depths[-1] + 1, deepest + 1) if x.letter(d) == gen.i)
+    teeth = itertools.islice(itertools.chain(gen.depths, later), count)
+    return [d for d in teeth if d <= deepest]
 
 
 def verify_convergence(
@@ -325,30 +347,39 @@ def verify_convergence(
 ) -> list[StabilizationReport]:
     """Certify, test by test, that tooth values stabilise on the limit.
 
-    With horizon omitted a sufficient one is derived from the branch and the
-    tests, so a valid generator never reports instability; an explicit
-    horizon is honoured as given and may be too short to see stabilisation.
+    Teeth 0..horizon count, but only those no deeper than a test's decision
+    depth can differ from the limit there: len(w) for a node test at w, the
+    meet with the comb's branch for a class test, and none for a class test
+    over that branch.  Only those teeth are built, so k0 is exact whatever
+    the horizon.  With horizon omitted a sufficient one is derived from the
+    branch and the tests, so a valid generator never reports instability;
+    an explicit horizon is honoured as given and may be too short to see
+    stabilisation.
     """
     if horizon is None:
         horizon = _default_horizon(gen, tests)
     if horizon < 1:
         raise SpaceError("horizon must be at least 1")
-    gen = extend_generator(gen, horizon + 1)
-    teeth = comb_nodes(gen)[: horizon + 1]
+    x, i = gen.branch, gen.i
+    # Past the stem a letter absent from the period never recurs.
+    later = x.stem[gen.depths[-1] + 1 :].count(i)
+    if i not in x.period and gen.size() + later <= horizon:
+        raise GeneratorExhaustedError(f"letter {i} recurs only finitely often on {x!r}")
     limit = space.comb_limit(gen)
     reports = []
     for test in tests:
         lim_val = space.value(limit, test)
+        if isinstance(test, NodeTest):
+            decision = len(test.word)
+        else:
+            _check_class(test.cls, space.n)  # even if no tooth is evaluated
+            decision = -1 if test.branch == x else len(meet(x, test.branch))
         k0 = 0
-        violating = None
-        for k, tooth in enumerate(teeth):
-            if space.value(NodePoint(tooth), test) != lim_val:
-                violating = k
+        for k, d in enumerate(_tooth_depths(gen, horizon + 1, decision)):
+            if space.value(NodePoint(gen.tooth(d)), test) != lim_val:
                 k0 = k + 1
-        if violating is not None and k0 > horizon:
-            reports.append(
-                StabilizationReport(test, lim_val, None, horizon, violating)
-            )
+        if k0 > horizon:
+            reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))
         else:
             reports.append(StabilizationReport(test, lim_val, k0, horizon))
     return reports
@@ -469,8 +500,7 @@ def separate_points(
         raise SpaceError("points must be pairwise distinct")
     for p in pts:
         if isinstance(p, LimitPoint):
-            n = space.table.n if isinstance(space, PartitionSpace) else space.family.n
-            _check_class(p.cls, n)
+            _check_class(p.cls, space.n)
 
     descs: list[OpenSetDescriptor]
     node_idx = next(

@@ -162,19 +162,19 @@ def _lcp_len(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
 
 
 def branch_meet_horizon(a: Branch, b: Branch) -> int:
-    """Scan depth that decides equality of two eventually periodic branches:
-    if they agree this far they agree everywhere."""
+    """Stems plus the lcm of the periods, a depth past the meet of distinct
+    branches.  Default convergence horizons use it; meets scan less."""
     return len(a.stem) + len(b.stem) + math.lcm(len(a.period), len(b.period))
 
 
 def _branch_mismatch(a: Branch, b: Branch) -> int | None:
-    h = branch_meet_horizon(a, b)
-    xs = a.head(h)
-    ys = b.head(h)
-    for i in range(h):
-        if xs[i] != ys[i]:
-            return i
-    return None
+    # Normal forms are unique, and by Fine and Wilf (1965) words of periods
+    # p and q that agree on p + q - gcd(p, q) letters agree forever.
+    if a == b:
+        return None
+    p, q = len(a.period), len(b.period)
+    h = max(len(a.stem), len(b.stem)) + p + q - math.gcd(p, q)
+    return _lcp_len(a.head(h), b.head(h))
 
 
 def prefix_cmp(a: Element, b: Element) -> PrefixRelation:

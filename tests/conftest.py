@@ -8,9 +8,19 @@ agreement with the fast implementations is evidence, not circularity.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from madic import Branch, DisjointFamily, PartitionTable, Word
+from madic import (
+    Branch,
+    DisjointFamily,
+    GeneratorExhaustedError,
+    NodePoint,
+    NodeTest,
+    PartitionTable,
+    StabilizationReport,
+    Word,
+)
 
 
 def expand(x: Branch, n: int) -> tuple[int, ...]:
@@ -46,9 +56,15 @@ def random_word(rng: random.Random, m: int, max_len: int = 5) -> Word:
     return Word(m, tuple(rng.randrange(m) for _ in range(rng.randint(0, max_len))))
 
 
-def random_branch(rng: random.Random, m: int, max_len: int = 3) -> Branch:
+def random_branch(
+    rng: random.Random, m: int, max_len: int = 3, max_period: int | None = None
+) -> Branch:
+    """Stem of at most max_len letters, period of at most max_period
+    (default max_len)."""
+    if max_period is None:
+        max_period = max_len
     stem = tuple(rng.randrange(m) for _ in range(rng.randint(0, max_len)))
-    period = tuple(rng.randrange(m) for _ in range(rng.randint(1, max_len)))
+    period = tuple(rng.randrange(m) for _ in range(rng.randint(1, max_period)))
     return Branch(m, stem, period)
 
 
@@ -76,3 +92,56 @@ def random_family(rng: random.Random, m: int) -> DisjointFamily:
     if not classes:
         classes.append(frozenset({0}))
     return DisjointFamily(m, tuple(classes))
+
+
+def default_horizon(gen, tests) -> int:
+    """The horizon verify_convergence reports when given none."""
+    x = gen.branch
+    bound = 2 * (len(x.stem) + len(x.period)) + 2
+    for t in tests:
+        if isinstance(t, NodeTest):
+            bound = max(bound, len(t.word) + 2)
+        else:
+            y = t.branch
+            lcm = math.lcm(len(x.period), len(y.period))
+            bound = max(bound, len(x.stem) + len(y.stem) + lcm + 2)
+    return bound
+
+
+def tooth_depths(gen, count: int) -> list[int]:
+    """Depths of the first count teeth: the generator's own depths, then
+    every later place where the branch, cycled letter by letter, reads i."""
+    x = gen.branch
+    depths = list(gen.depths[:count])
+    letters = itertools.chain(x.stem, itertools.cycle(x.period))
+    for d, a in enumerate(letters):
+        if len(depths) >= count:
+            break
+        if d >= len(x.stem) and gen.i not in x.period:
+            raise GeneratorExhaustedError(f"letter {gen.i} runs out on {x!r}")
+        if d > gen.depths[-1] and a == gen.i:
+            depths.append(d)
+    return depths
+
+
+def convergence_oracle(gen, space, tests, horizon=None) -> list:
+    """verify_convergence by brute force: build every tooth 0..horizon from
+    expanded letters and compare its value at each test with the limit's."""
+    if horizon is None:
+        horizon = default_horizon(gen, tests)
+    depths = tooth_depths(gen, horizon + 1)
+    x = gen.branch
+    letters = expand(x, depths[-1])
+    move = () if gen.i == gen.j else (gen.j,)
+    teeth = [NodePoint(Word(x.m, letters[:d] + move)) for d in depths]
+    limit = space.comb_limit(gen)
+    reports = []
+    for test in tests:
+        lim_val = space.value(limit, test)
+        bad = [k for k, t in enumerate(teeth) if space.value(t, test) != lim_val]
+        if bad and bad[-1] == horizon:
+            reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))
+        else:
+            k0 = bad[-1] + 1 if bad else 0
+            reports.append(StabilizationReport(test, lim_val, k0, horizon))
+    return reports

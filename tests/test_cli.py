@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ P20_DOC = {"m": 2, "n": 2, "values": [[0, 1], [0, 0]]}
 P21_DOC = {"m": 2, "n": 2, "values": [[0, 1], [1, 1]]}
 FAM_DOC = {"m": 2, "classes": [[0]]}
 GEN_DOC = {"branch": {"stem": [], "period": [0]}, "i": 0, "j": 1, "count": 3}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -161,6 +163,63 @@ class TestConverge:
             write("g.json", GEN_DOC),
         )
         assert code == 3
+
+    def test_huge_horizon_keeps_default_k0(self, capsys, write):
+        argv = [
+            "converge",
+            "--space",
+            "partition",
+            "--table",
+            write("t.json", P20_DOC),
+            "--generator",
+            write("g.json", dict(GEN_DOC, branch={"stem": [1], "period": [0, 0, 1]})),
+        ]
+        default = run_json(capsys, *argv)
+        huge = run_json(capsys, *argv, "--horizon", "1000000000")
+        assert huge["all_stable"] is True
+        assert {r["horizon"] for r in huge["reports"]} == {1000000000}
+        k0 = [r["k0"] for r in default["reports"]]
+        assert [r["k0"] for r in huge["reports"]] == k0
+        assert any(k0)
+
+
+class TestConvergeGoldens:
+    """Byte-for-byte stdout for a period-12 comb on three letters and class
+    tests over a period-13 branch that follows it for 16 letters, as the
+    tooth-by-tooth scan printed it."""
+
+    X = {"stem": [2], "period": [0, 1, 0, 2, 1, 1, 0, 2, 2, 1, 0, 1]}
+    Y = {
+        "stem": [2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 1, 0, 1, 0, 1, 0],
+        "period": [1, 2, 0, 0, 1, 2, 2, 0, 1, 1, 0, 2, 1],
+    }
+    TESTS = [
+        {"kind": "node", "word": []},
+        {"kind": "node", "word": [2, 0, 1]},
+        {"kind": "node", "word": [2, 0, 1, 0, 2, 1, 1, 0, 2, 1]},
+        {"kind": "node", "word": X["stem"] + X["period"] + [0, 1, 0, 2, 1, 1, 0]},
+        {"kind": "class", "branch": Y, "class": 0},
+        {"kind": "class", "branch": Y, "class": 1},
+        {"kind": "class", "branch": X, "class": 0},
+    ]
+    SPACES = {
+        "partition": ("--table", {"m": 3, "n": 2, "values": [[0, 1, 1], [0, 0, 0], [1, 0, 0]]}),
+        "scattered": ("--family", {"m": 3, "classes": [[0], [1]]}),
+    }
+
+    @pytest.mark.parametrize("horizon", ["h6", "default"])
+    @pytest.mark.parametrize("space", ["partition", "scattered"])
+    def test_stdout_matches_golden(self, capsys, write, space, horizon):
+        flag, doc = self.SPACES[space]
+        j = 1 if space == "partition" else 0
+        gen = {"branch": self.X, "i": 0, "j": j, "count": 2}
+        argv = ["converge", "--space", space, flag, write("s.json", doc)]
+        argv += ["--generator", write("g.json", gen), "--tests", write("x.json", self.TESTS)]
+        if horizon == "h6":
+            argv += ["--horizon", "6"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"converge_{space}_{horizon}.json").read_text()
 
 
 class TestSeparate:

@@ -17,7 +17,6 @@ from madic import (
     canonical_pattern,
     check_first_move_map,
     comb_nodes,
-    extend_generator,
     find_pattern,
     incidence,
     meet,
@@ -238,16 +237,6 @@ def test_generator_exhaustion():
     assert CombGenerator.over(x, 0, 1, 1).depths == (0,)
     with pytest.raises(GeneratorExhaustedError):
         CombGenerator.over(x, 0, 1, 2)
-    with pytest.raises(GeneratorExhaustedError):
-        extend_generator(CombGenerator.over(x, 0, 1, 1), 2)
-
-
-def test_extend_generator_keeps_prefix():
-    gen = CombGenerator.over(Branch(2, (), (0, 1)), 0, 1, 2)
-    bigger = extend_generator(gen, 5)
-    assert bigger.depths[:2] == gen.depths
-    assert bigger.size() == 5
-    assert extend_generator(bigger, 3) is bigger
 
 
 def test_comb_nodes_meet_and_incidence_facts():

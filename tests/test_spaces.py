@@ -1,6 +1,7 @@
 """Symbolic points, evaluation, comb limits, separation and embeddings."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -36,7 +37,14 @@ from madic.spaces import (
 )
 from madic.words import Branch, Word
 
-from conftest import random_branch, random_family, random_table, random_word
+from conftest import (
+    convergence_oracle,
+    default_horizon,
+    random_branch,
+    random_family,
+    random_table,
+    random_word,
+)
 
 ZEROS = Branch(2, (), (0,))
 ONES = Branch(2, (), (1,))
@@ -314,6 +322,113 @@ class TestConvergence:
         limit = space.comb_limit(gen)
         for rep in verify_convergence(gen, space, tests):
             assert rep.limit_value == space.value(limit, rep.test)
+
+
+def _random_space(rng: random.Random, m: int):
+    if rng.random() < 0.5:
+        return PartitionSpace(random_table(rng, m, rng.randint(1, 3)))
+    return ScatteredSpace(random_family(rng, m))
+
+
+def _near_branch(rng: random.Random, x: Branch, max_period: int) -> Branch:
+    """A branch that follows x for a while and then goes its own way."""
+    k = rng.randint(0, len(x.stem) + 2 * len(x.period))
+    tail = random_branch(rng, x.m, 2, max_period)
+    return Branch(x.m, x.head(k) + tail.stem, tail.period)
+
+
+def _random_case(rng: random.Random, period: int | None = None):
+    """Generator, space and tests.  The comb's branch has the given period
+    (at most 3 letters by default).  Class tests use that period or one of
+    at most 3 letters, which keeps the lcm, and with it the default
+    horizon, small enough for the brute-force oracle."""
+    m = rng.randint(2, 3)
+    x = random_branch(rng, m)
+    if period is not None:
+        x = Branch(m, x.stem, tuple(rng.randrange(m) for _ in range(period)))
+    i = x.letter(rng.randrange(len(x.stem) + len(x.period)))
+    j = i if rng.random() < 0.5 else rng.randrange(m)
+    try:
+        depths = CombGenerator.over(x, i, j, 4).depths
+    except GeneratorExhaustedError:
+        depths = CombGenerator.over(x, i, j, 1).depths
+    picked = tuple(d for d in depths if rng.random() < 0.6) or depths[:1]
+    gen = CombGenerator(x, i, j, picked)
+    space = _random_space(rng, m)
+    k = rng.randint(0, len(x.stem) + 4 * len(x.period) + 8)
+    tests = [
+        NodeTest(random_word(rng, m)),
+        NodeTest(x.prefix(k)),
+        NodeTest(x.prefix(k).child(rng.randrange(m))),
+    ]
+    # A one-letter change to the period: as long a period, a long meet.
+    twin = Branch(m, x.stem, x.period[:-1] + ((x.period[-1] + 1) % m,))
+    others = (x, twin, _near_branch(rng, x, 3), random_branch(rng, m))
+    tests += [ClassTest(y, rng.randrange(space.n)) for y in others]
+    rng.shuffle(tests)
+    horizon = None if rng.random() < 0.4 else rng.randint(1, 30)
+    return gen, space, tests, horizon
+
+
+def _compare_with_oracle(gen, space, tests, horizon) -> str:
+    try:
+        expected = convergence_oracle(gen, space, tests, horizon)
+    except GeneratorExhaustedError:
+        with pytest.raises(GeneratorExhaustedError):
+            verify_convergence(gen, space, tests, horizon)
+        return "exhausted"
+    got = verify_convergence(gen, space, tests, horizon)
+    assert got == expected, (gen, space, tests, horizon)
+    if not all(r.stable for r in got):
+        return "unstable"
+    return "late" if any(r.k0 for r in got) else "immediate"
+
+
+class TestClosedFormConvergence:
+    """verify_convergence against the brute-force tooth scan of conftest."""
+
+    def test_short_periods_match_tooth_scan(self):
+        rng = random.Random(0)
+        seen = [_compare_with_oracle(*_random_case(rng)) for _ in range(900)]
+        for outcome in ("exhausted", "unstable", "late", "immediate"):
+            assert seen.count(outcome) >= 30, outcome
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_periods_match_tooth_scan(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(10):
+            gen, space, tests, horizon = _random_case(rng, rng.randint(50, 70))
+            assert len(gen.branch.period) >= 50
+            _compare_with_oracle(gen, space, tests, horizon)
+
+    def test_period_200_against_period_201_finishes(self):
+        # The tooth scan would build some 40,000 teeth of average length
+        # 60,000 here; the closed form builds none deeper than the meet.
+        rng = random.Random(200)
+        x = Branch(3, (), tuple(rng.randrange(3) for _ in range(200)))
+        y = Branch(3, x.head(150), tuple(rng.randrange(3) for _ in range(201)))
+        assert (len(x.period), len(y.period)) == (200, 201)
+        space = PartitionSpace(random_table(rng, 3, 3))
+        i = x.letter(0)
+        gen = CombGenerator.over(x, i, (i + 1) % 3, 2)
+        tests = [ClassTest(y, c) for c in range(space.n)]
+        tests.append(NodeTest(x.prefix(120)))
+        reports = verify_convergence(gen, space, tests)
+        horizon = len(y.stem) + math.lcm(200, 201) + 2
+        assert default_horizon(gen, tests) == horizon
+        assert all(r.stable and r.horizon == horizon for r in reports)
+        short = verify_convergence(gen, space, tests, horizon=120)
+        assert short == convergence_oracle(gen, space, tests, 120)
+        assert [r.k0 for r in short] == [r.k0 for r in reports]
+        assert max(r.k0 for r in reports) > 0
+
+    def test_class_index_checked_without_teeth(self):
+        # On its own branch the comb needs no tooth, and the scattered
+        # infinity limit reads 0 anywhere, yet the class must still exist.
+        space = ScatteredSpace(DisjointFamily(2, (frozenset({0}),)))
+        gen = CombGenerator.over(ZEROS, 0, 1, 1)
+        with pytest.raises(SpaceError):
+            verify_convergence(gen, space, [ClassTest(ZEROS, 1)])
 
 
 # -- descriptors and separation --------------------------------------------------

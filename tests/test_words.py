@@ -1,5 +1,6 @@
 """Tree algebra: words, branches, meets, incidence, the well order."""
 
+import math
 import random
 
 import pytest
@@ -132,6 +133,67 @@ def test_branch_meet_respects_horizon():
     got = meet(x, y)
     assert isinstance(got, Word)
     assert got.letters == meet_oracle(x, y, branch_meet_horizon(x, y) + 8)
+
+
+def _two_letter_extremal(p: int, q: int) -> tuple[int, ...]:
+    """For coprime p and q, the word of length p + q - 2 with periods p and q
+    that is not constant: its positions, joined whenever they lie p or q
+    apart, fall into exactly two classes."""
+    n = p + q - 2
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in (a + p, a + q):
+            if b < n:
+                parent[find(b)] = find(a)
+    roots = sorted({find(a) for a in range(n)})
+    assert len(roots) == 2
+    return tuple(roots.index(find(a)) for a in range(n))
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (5, 8), (13, 21), (47, 53), (50, 51)])
+def test_meet_can_reach_fine_wilf_bound(p, q):
+    # (u[:p])^w and (u[:q])^w agree on all of u, one letter short of the
+    # bound max(stems) + p + q - gcd(p, q), which is therefore sharp.
+    u = _two_letter_extremal(p, q)
+    x = Branch(3, (2, 0, 2), u[:p])
+    y = Branch(3, (2, 0, 2), u[:q])
+    assert (len(x.period), len(y.period)) == (p, q)
+    r = meet(x, y)
+    assert len(r) == 3 + p + q - 2
+    horizon = len(x.stem) + len(y.stem) + math.lcm(p, q)
+    assert r.letters == meet_oracle(x, y, horizon)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_meet_long_coprime_periods_matches_scan(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        m = rng.randint(2, 3)
+        p = rng.randint(30, 80)
+        q = rng.choice([k for k in range(30, 81) if math.gcd(p, k) == 1])
+        x = Branch(m, (), tuple(rng.randrange(m) for _ in range(p)))
+        k = rng.randint(0, p)
+        if rng.random() < 0.5:
+            # y copies x's first q letters as its period: long agreement.
+            y = Branch(m, x.head(k), x.head(k + q)[k:])
+        else:
+            y = Branch(m, x.head(k), tuple(rng.randrange(m) for _ in range(q)))
+        if y == x:
+            continue
+        a, b = len(x.period), len(y.period)
+        horizon = len(x.stem) + len(y.stem) + math.lcm(a, b)
+        expected = meet_oracle(x, y, horizon)
+        assert meet(x, y).letters == meet(y, x).letters == expected
+        assert len(expected) < max(len(x.stem), len(y.stem)) + a + b - math.gcd(a, b)
+        assert prefix_cmp(x, y) is PrefixRelation.INCOMPARABLE
+        d = len(expected)
+        assert incidence(x, y) == (x.letter(d), y.letter(d))
 
 
 def test_branch_equality_detected_within_horizon():
