@@ -13,6 +13,7 @@ stabilization point of every test value.
 from madic import (
     Branch,
     ClassTest,
+    Comb,
     CombGenerator,
     DisjointFamily,
     NodeTest,
@@ -21,6 +22,8 @@ from madic import (
     ScatteredSpace,
     Word,
     comb_nodes,
+    concat,
+    find_pattern,
     verify_convergence,
 )
 
@@ -29,6 +32,14 @@ from madic import (
 zeros = Branch(2, (), (0,))
 gen = CombGenerator.over(zeros, 0, 1, 3)
 print("teeth:", comb_nodes(gen))
+
+# Moving the teeth under the node (1) keeps their shape: the moved teeth
+# are first-move equivalent to the prototype (0,1)-comb, and the pattern
+# search finds two of them.
+moved = [concat(Word(2, (1,)), t) for t in comb_nodes(gen)]
+match = find_pattern(moved, Comb(0, 1), 2, 2)
+print("moved teeth:", moved)
+print("(0,1)-comb of size 2 found at:", match.nodes)
 
 # Colour the pairs (i, j) with the two-colour table that sends the
 # ascending pair to colour 1 and everything else to colour 0.

@@ -40,7 +40,6 @@ from .patterns import (
     check_first_move_map,
     comb_nodes,
     find_pattern,
-    subtree_embedding,
 )
 from .spaces import (
     INFINITY,
@@ -52,7 +51,6 @@ from .spaces import (
     LimitPoint,
     NodePoint,
     NodeTest,
-    NotSeparatedOutcome,
     OpenSetDescriptor,
     PartitionSpace,
     PartitionTable,
@@ -68,12 +66,9 @@ from .spaces import (
     classify_subspaces,
     descriptor_contains,
     family_intersection_empty,
-    isolation_tests,
-    not_separated_search,
     partition_value,
     scattered_value,
     separate_points,
-    separating_test,
     split_embedding,
     interleave_branch,
     verify_convergence,
@@ -93,10 +88,8 @@ from .reductions import (
     ReductionError,
     RestrictionResult,
     apply_reduction,
-    canonical_family,
     check_reduces,
     induced_branch_map,
-    induced_tree_map,
     induced_word_map,
     restrict_colors,
     search_reduction,

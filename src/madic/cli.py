@@ -173,14 +173,8 @@ def _load_space(args: argparse.Namespace):
     return ScatteredSpace(codec.family_from_json(_load_json(args.family)))
 
 
-def _space_m(space) -> int:
-    if isinstance(space, PartitionSpace):
-        return space.table.m
-    return space.family.m
-
-
 def _default_tests(space, gen: CombGenerator) -> list:
-    m = _space_m(space)
+    m = space.m
     words = [Word(m)]
     for a in range(m):
         words.append(Word(m, (a,)))
@@ -193,7 +187,7 @@ def _default_tests(space, gen: CombGenerator) -> list:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     space = _load_space(args)
-    m = _space_m(space)
+    m = space.m
     gen = codec.generator_from_json(_load_json(args.generator), m)
     if args.tests:
         doc = _load_json(args.tests)
@@ -218,7 +212,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_separate(args: argparse.Namespace) -> int:
     space = _load_space(args)
-    m = _space_m(space)
+    m = space.m
     doc = _load_json(args.points)
     if not isinstance(doc, list):
         raise CodecError("points file must hold a list of symbolic points")

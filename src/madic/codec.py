@@ -8,10 +8,10 @@ raise CodecError with a readable message.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from .dense_types import DenseType
-from .patterns import Comb, CombGenerator, DoubleComb, FirstMoveMap, PatternKind, SplitDoubleComb
+from .patterns import CombGenerator
 from .reductions import ReductionData
 from .spaces import (
     ClassTest,
@@ -19,7 +19,6 @@ from .spaces import (
     CoSingleton,
     DisjointFamily,
     INFINITY,
-    InfinityPoint,
     LimitPoint,
     NodePoint,
     NodeTest,
@@ -29,7 +28,6 @@ from .spaces import (
     StabilizationReport,
     SymbolicPoint,
     TestPoint,
-    WholeSpace,
 )
 from .words import Branch, Word
 
@@ -42,6 +40,12 @@ def _require(doc: Any, key: str) -> Any:
     if not isinstance(doc, dict) or key not in doc:
         raise CodecError(f"expected an object with key {key!r}")
     return doc[key]
+
+
+def _int(value: Any, what: str) -> int:
+    if not isinstance(value, int):
+        raise CodecError(f"{what} must be an integer")
+    return value
 
 
 def _int_list(value: Any, what: str) -> list[int]:
@@ -69,49 +73,7 @@ def branch_from_json(doc: Any, m: int) -> Branch:
     return Branch(m, tuple(stem), tuple(period))
 
 
-# -- patterns -------------------------------------------------------------------
-
-
-def pattern_kind_to_json(kind: PatternKind) -> dict:
-    if isinstance(kind, Comb):
-        return {"kind": "comb", "i": kind.i, "j": kind.j}
-    if isinstance(kind, DoubleComb):
-        return {"kind": "double_comb", "i": kind.i, "j": kind.j, "k": kind.k, "l": kind.l}
-    return {
-        "kind": "split_double_comb",
-        "u": kind.u, "v": kind.v,
-        "i": kind.i, "j": kind.j, "k": kind.k, "l": kind.l,
-    }
-
-def pattern_kind_from_json(doc: Any) -> PatternKind:
-    kind = _require(doc, "kind")
-    try:
-        if kind == "comb":
-            return Comb(doc["i"], doc["j"])
-        if kind == "double_comb":
-            return DoubleComb(doc["i"], doc["j"], doc["k"], doc["l"])
-        if kind == "split_double_comb":
-            return SplitDoubleComb(doc["u"], doc["v"], doc["i"], doc["j"], doc["k"], doc["l"])
-    except KeyError as exc:
-        raise CodecError(f"pattern kind {kind!r} is missing field {exc}") from exc
-    raise CodecError(f"unknown pattern kind {kind!r}")
-
-
-def first_move_map_to_json(fmm: FirstMoveMap) -> dict:
-    return {"pairs": [[list(s.letters), list(t.letters)] for s, t in fmm.pairs]}
-
-def first_move_map_from_json(doc: Any, m: int) -> FirstMoveMap:
-    pairs = _require(doc, "pairs")
-    if not isinstance(pairs, list):
-        raise CodecError("pairs must be a list")
-    out = []
-    for entry in pairs:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise CodecError("each pair must be a two-element list of words")
-        s = Word(m, tuple(_int_list(entry[0], "pair source")))
-        t = Word(m, tuple(_int_list(entry[1], "pair target")))
-        out.append((s, t))
-    return FirstMoveMap(tuple(out))
+# -- comb generators ------------------------------------------------------------
 
 
 def generator_to_json(gen: CombGenerator) -> dict:
@@ -128,9 +90,7 @@ def generator_from_json(doc: Any, m: int) -> CombGenerator:
     if "depths" in doc:
         depths = tuple(_int_list(doc["depths"], "depths"))
         return CombGenerator(branch, i, j, depths)
-    count = _require(doc, "count")
-    if not isinstance(count, int):
-        raise CodecError("count must be an integer")
+    count = _int(_require(doc, "count"), "count")
     return CombGenerator.over(branch, i, j, count)
 
 
@@ -146,7 +106,7 @@ def table_to_json(t: PartitionTable) -> dict:
     return doc
 
 def table_from_json(doc: Any) -> PartitionTable:
-    m = _require(doc, "m")
+    m = _int(_require(doc, "m"), "m")
     values = _require(doc, "values")
     if not isinstance(values, list):
         raise CodecError("values must be a list of rows")
@@ -154,7 +114,7 @@ def table_from_json(doc: Any) -> PartitionTable:
     try:
         table = PartitionTable(m, rows)
         if "n" in doc:
-            return PartitionTable.dense(m, doc["n"], rows)
+            return PartitionTable.dense(m, _int(doc["n"], "n"), rows)
     except ValueError as exc:
         raise CodecError(str(exc)) from exc
     return table
@@ -164,7 +124,7 @@ def family_to_json(f: DisjointFamily) -> dict:
     return {"m": f.m, "classes": [sorted(c) for c in f.classes]}
 
 def family_from_json(doc: Any) -> DisjointFamily:
-    m = _require(doc, "m")
+    m = _int(_require(doc, "m"), "m")
     classes = _require(doc, "classes")
     if not isinstance(classes, list):
         raise CodecError("classes must be a list")
@@ -186,7 +146,7 @@ def point_to_json(p: SymbolicPoint) -> dict:
 def point_from_json(doc: Any, m: int) -> SymbolicPoint:
     kind = _require(doc, "kind")
     if kind == "node":
-        return NodePoint(Word(m, tuple(_int_list(_require(doc, "word"), "word"))))
+        return NodePoint(word_from_json(doc, m))
     if kind == "limit":
         return LimitPoint(
             branch_from_json(_require(doc, "branch"), m), _require(doc, "class")
@@ -204,7 +164,7 @@ def test_to_json(t: TestPoint) -> dict:
 def test_from_json(doc: Any, m: int) -> TestPoint:
     kind = _require(doc, "kind")
     if kind == "node":
-        return NodeTest(Word(m, tuple(_int_list(_require(doc, "word"), "word"))))
+        return NodeTest(word_from_json(doc, m))
     if kind == "class":
         return ClassTest(
             branch_from_json(_require(doc, "branch"), m), _require(doc, "class")

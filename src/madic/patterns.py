@@ -16,12 +16,8 @@ from typing import Iterable, Optional, Union
 from .words import (
     AlphabetError,
     Branch,
-    Element,
-    IncidenceUndefinedError,
-    OrientationError,
     PrefixRelation,
     Word,
-    concat,
     incidence,
     meet,
     meet_closure,
@@ -236,11 +232,6 @@ def find_pattern(
         if check_first_move_map(fmm).valid:
             return PatternMatch(cand, fmm)
     return None
-
-
-def subtree_embedding(u: Word, t: Element) -> Element:
-    """The embedding t -> u followed by t of the whole tree under u."""
-    return concat(u, t)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional
 
-from .spaces import DisjointFamily, PartitionTable, SpaceError
-from .words import Branch, Element, Word, concat, incidence
+from .spaces import PartitionTable
+from .words import Branch, Word, incidence
 
 
 class ReductionError(ValueError):
@@ -302,23 +302,3 @@ def induced_branch_map(r: ReductionData, x: Branch) -> Branch:
     for a in x.period:
         period += r.e[a].letters
     return Branch(r.m1, stem, period)
-
-
-def induced_tree_map(r: ReductionData, a: Element) -> Element:
-    if isinstance(a, Word):
-        return induced_word_map(r, a)
-    return induced_branch_map(r, a)
-
-
-# -- canonical disjoint families ----------------------------------------------
-
-
-def canonical_family(n: int) -> DisjointFamily:
-    """The benchmark disjoint family whose scattered space has degree n:
-    one two-letter set for n = 2, otherwise n-1 singletons over n-1
-    letters."""
-    if n < 2:
-        raise SpaceError("canonical families start at two")
-    if n == 2:
-        return DisjointFamily(2, (frozenset({0, 1}),))
-    return DisjointFamily(n - 1, tuple(frozenset({a}) for a in range(n - 1)))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .patterns import CombGenerator, GeneratorError, GeneratorExhaustedError, comb_nodes
+from .patterns import CombGenerator, GeneratorExhaustedError
 from .words import (
     Branch,
     PrefixRelation,
@@ -98,18 +98,6 @@ class PartitionTable:
     def class_index(self, i: int, j: int) -> int:
         return self._index[i][j]
 
-    def piece(self, cls: int) -> frozenset[tuple[int, int]]:
-        colour = self._colors[cls]
-        return frozenset(
-            (i, j)
-            for i in range(self.m)
-            for j in range(self.m)
-            if self.values[i][j] == colour
-        )
-
-    def pieces(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        return tuple(self.piece(c) for c in range(self.n))
-
 
 @dataclass(frozen=True, slots=True)
 class DisjointFamily:
@@ -188,6 +176,13 @@ def _check_class(cls: int, n: int) -> None:
         raise SpaceError(f"class index {cls} out of range 0..{n - 1}")
 
 
+def _check_partition_point(point: SymbolicPoint, n: int) -> None:
+    if isinstance(point, InfinityPoint):
+        raise SpaceError("partition spaces have no infinity point")
+    if isinstance(point, LimitPoint):
+        _check_class(point.cls, n)
+
+
 def partition_value(
     point: SymbolicPoint, test: TestPoint, table: PartitionTable
 ) -> int:
@@ -198,10 +193,7 @@ def partition_value(
     incidence of that branch with its own lies in the named piece, and over
     its own branch it is the indicator of its own class.
     """
-    if isinstance(point, InfinityPoint):
-        raise SpaceError("partition spaces have no infinity point")
-    if isinstance(point, LimitPoint):
-        _check_class(point.cls, table.n)
+    _check_partition_point(point, table.n)
     if isinstance(test, NodeTest):
         if isinstance(point, NodePoint):
             return 1 if is_prefix(test.word, point.word) else 0
@@ -255,12 +247,29 @@ class PartitionSpace:
         return LimitPoint(gen.branch, self.table.class_index(gen.i, gen.j))
 
     @property
+    def m(self) -> int:
+        return self.table.m
+
+    @property
     def n(self) -> int:
         return self.table.n
 
     @property
     def separation_arity(self) -> int:
         return self.table.n + 1
+
+    def check_point(self, point: SymbolicPoint) -> None:
+        """Raise SpaceError unless the point belongs to the space."""
+        _check_partition_point(point, self.n)
+
+    def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
+        """The finite certificate of isolation: value 1 at the node and 0 at
+        all of its children identifies the node point among all points."""
+        if self.value(point, NodeTest(word)) != 1:
+            return False
+        return all(
+            self.value(point, NodeTest(word.child(a))) == 0 for a in range(word.m)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,6 +292,10 @@ class ScatteredSpace:
         return INFINITY
 
     @property
+    def m(self) -> int:
+        return self.family.m
+
+    @property
     def n(self) -> int:
         return self.family.n
 
@@ -290,7 +303,20 @@ class ScatteredSpace:
     def separation_arity(self) -> int:
         return self.family.n + 2
 
+    def check_point(self, point: SymbolicPoint) -> None:
+        """Raise SpaceError unless the point belongs to the space."""
+        if isinstance(point, LimitPoint):
+            _check_class(point.cls, self.n)
 
+    def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
+        """Node points are single-node indicators, so the test at the node
+        alone certifies isolation; the infinity point reads 0 there."""
+        return self.value(point, NodeTest(word)) == 1
+
+
+# Both spaces answer the same rules -- m, n, separation_arity, value,
+# comb_limit, check_point and is_node_point_at -- so callers never ask which
+# kind of space they hold.
 Space = Union[PartitionSpace, ScatteredSpace]
 
 
@@ -429,31 +455,10 @@ def descriptor_contains(
         if isinstance(point, NodePoint):
             return is_prefix(desc.word, point.word)
         return is_prefix(desc.word, point.branch)
-    member = _is_node_point_at(desc.word, point, space)
+    member = space.is_node_point_at(desc.word, point)
     if isinstance(desc, Singleton):
         return member
     return not member
-
-
-def _is_node_point_at(word: Word, point: SymbolicPoint, space: Space) -> bool:
-    # The finite certificate of isolation: value 1 at the node and 0 at all
-    # of its children identifies the node point among all points.
-    if isinstance(space, ScatteredSpace):
-        if isinstance(point, InfinityPoint):
-            return False
-        return space.value(point, NodeTest(word)) == 1
-    if isinstance(point, InfinityPoint):
-        raise SpaceError("partition spaces have no infinity point")
-    if space.value(point, NodeTest(word)) != 1:
-        return False
-    return all(
-        space.value(point, NodeTest(word.child(a))) == 0 for a in range(word.m)
-    )
-
-
-def isolation_tests(word: Word) -> tuple[NodeTest, ...]:
-    """Node tests certifying isolation of the node point at the word."""
-    return (NodeTest(word),) + tuple(NodeTest(word.child(a)) for a in range(word.m))
 
 
 def family_intersection_empty(descs: Sequence[OpenSetDescriptor]) -> bool:
@@ -489,18 +494,13 @@ def separate_points(
     the points get the whole space.
     """
     pts = list(points)
-    if isinstance(space, PartitionSpace):
-        for p in pts:
-            if isinstance(p, InfinityPoint):
-                raise SpaceError("partition spaces have no infinity point")
+    for p in pts:
+        space.check_point(p)
     arity = space.separation_arity
     if len(pts) != arity:
         raise SpaceError(f"need exactly {arity} points, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise SpaceError("points must be pairwise distinct")
-    for p in pts:
-        if isinstance(p, LimitPoint):
-            _check_class(p.cls, space.n)
 
     descs: list[OpenSetDescriptor]
     node_idx = next(
@@ -538,119 +538,6 @@ def separate_points(
     if not family_intersection_empty(descs):
         raise SpaceError("internal invariant failed: sets are not disjoint enough")
     return tuple(descs)
-
-
-# -- distinguishing points ----------------------------------------------------
-
-
-def separating_test(
-    p: SymbolicPoint, q: SymbolicPoint, space: Space
-) -> Optional[TestPoint]:
-    """A test point where the two points differ, or None when equal."""
-    if p == q:
-        return None
-    candidates: list[TestPoint] = []
-    if isinstance(space, ScatteredSpace):
-        # Every non-top point indicates its own test point.
-        for r in (p, q):
-            if isinstance(r, NodePoint):
-                candidates.append(NodeTest(r.word))
-            elif isinstance(r, LimitPoint):
-                candidates.append(ClassTest(r.branch, r.cls))
-    else:
-        if isinstance(p, LimitPoint) and isinstance(q, LimitPoint):
-            if p.branch == q.branch:
-                candidates.append(ClassTest(p.branch, p.cls))
-            else:
-                d = len(meet(p.branch, q.branch))
-                candidates.append(NodeTest(p.branch.prefix(d + 1)))
-        else:
-            # At least one node point: test at its word, and one step along
-            # the other element in case the word lies below it.
-            for r, other in ((p, q), (q, p)):
-                if not isinstance(r, NodePoint):
-                    continue
-                candidates.append(NodeTest(r.word))
-                k = len(r.word) + 1
-                if isinstance(other, NodePoint):
-                    if len(other.word) >= k:
-                        candidates.append(NodeTest(other.word.prefix(k)))
-                else:
-                    candidates.append(NodeTest(other.branch.prefix(k)))
-    for t in candidates:
-        if space.value(p, t) != space.value(q, t):
-            return t
-    return None
-
-
-# -- bounded search for non-separable comb systems ----------------------------
-
-
-@dataclass(frozen=True)
-class NotSeparatedOutcome:
-    """Result of the bounded search: a witness comb system that the given
-    sets cannot separate, or inconclusive once the budget runs out.  Never a
-    proof of separability."""
-
-    kind: str  # "counterexample" | "inconclusive"
-    witness: Optional[dict[int, tuple[Word, ...]]]
-    checked: int
-
-
-def not_separated_search(
-    candidate_sets: Sequence[Iterable[Word]],
-    table: PartitionTable,
-    depth: int,
-    budget: int,
-) -> NotSeparatedOutcome:
-    """Look for one comb prefix per colour class that defeats the sets.
-
-    A comb prefix stands for its infinite tail, so a set may claim it only
-    by containing its deepest tooth.  The comb system is a counterexample
-    when no choice of one claiming set per class has empty intersection.
-    Candidate combs follow each class pair (i, j) along the constant branch
-    of i, at least three teeth, teeth no longer than depth; the budget caps
-    how many systems and claims are examined.
-    """
-    sets = [frozenset(s) for s in candidate_sets]
-    if depth < 3:
-        return NotSeparatedOutcome("inconclusive", None, 0)
-    per_class: list[list[tuple[Word, ...]]] = []
-    for p in range(table.n):
-        combs = []
-        for i, j in sorted(table.piece(p)):
-            branch = Branch(table.m, (), (i,))
-            try:
-                teeth = comb_nodes(CombGenerator.over(branch, i, j, 3))
-            except GeneratorError:
-                continue
-            if all(len(t) <= depth for t in teeth):
-                combs.append(teeth)
-        if not combs:
-            return NotSeparatedOutcome("inconclusive", None, 0)
-        per_class.append(combs)
-    checked = 0
-    for system in itertools.product(*per_class):
-        if checked >= budget:
-            return NotSeparatedOutcome("inconclusive", None, checked)
-        checked += 1
-        claims = [[s for s in sets if teeth[-1] in s] for teeth in system]
-        separated = False
-        for assignment in itertools.product(*claims):
-            if checked >= budget:
-                return NotSeparatedOutcome("inconclusive", None, checked)
-            checked += 1
-            common: frozenset[Word] = assignment[0]
-            for s in assignment[1:]:
-                common &= s
-            if not common:
-                separated = True
-                break
-        if not separated:
-            return NotSeparatedOutcome(
-                "counterexample", dict(enumerate(system)), checked
-            )
-    return NotSeparatedOutcome("inconclusive", None, checked)
 
 
 # -- classical subspaces ------------------------------------------------------
@@ -730,10 +617,8 @@ def split_embedding(
     if table.m != 2 or table.n != 2:
         raise SpaceError("split embedding needs a two-letter, two-colour table")
     tail = _split_tail(table)
-    if isinstance(point, InfinityPoint):
-        raise SpaceError("partition spaces have no infinity point")
+    _check_partition_point(point, 2)
     if isinstance(point, LimitPoint):
-        _check_class(point.cls, 2)
         upper = table.class_index(0, 1)
         return (interleave_branch(point.branch), 1 if point.cls == upper else 0)
     letters = point.word.letters

@@ -100,6 +100,13 @@ class TestClassify:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_string_size_is_validation_error(self, capsys, write, field):
+        path = write("g.json", dict(P20_DOC, **{field: "2"}))
+        code, _, err = run(capsys, "classify", path)
+        assert code == 3
+        assert f"error: {field} must be an integer" in err
+
 
 class TestConverge:
     def test_scattered_comb_reaches_infinity(self, capsys, write):
@@ -152,6 +159,20 @@ class TestConverge:
         )
         assert code == 3
         assert "error:" in err
+
+    def test_string_family_size_is_validation_error(self, capsys, write):
+        code, _, err = run(
+            capsys,
+            "converge",
+            "--space",
+            "scattered",
+            "--family",
+            write("f.json", dict(FAM_DOC, m="2")),
+            "--generator",
+            write("g.json", GEN_DOC),
+        )
+        assert code == 3
+        assert "error: m must be an integer" in err
 
     def test_space_flag_must_match_data_flag(self, capsys, write):
         code, _, _ = run(
@@ -261,6 +282,21 @@ class TestSeparate:
         )
         assert code == 3
         assert "3 points" in err
+
+    def test_infinity_in_partition_is_validation_error(self, capsys, write):
+        points = self.POINTS[1:] + [{"kind": "infinity"}]
+        code, _, err = run(
+            capsys,
+            "separate",
+            "--space",
+            "partition",
+            "--table",
+            write("t.json", P20_DOC),
+            "--points",
+            write("p.json", points),
+        )
+        assert code == 3
+        assert "no infinity point" in err
 
     def test_scattered_separation_with_infinity(self, capsys, write):
         points = [

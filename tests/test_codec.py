@@ -7,13 +7,7 @@ import pytest
 from madic import codec
 from madic.codec import CodecError
 from madic.dense_types import DenseType, enumerate_types
-from madic.patterns import (
-    Comb,
-    CombGenerator,
-    DoubleComb,
-    FirstMoveMap,
-    SplitDoubleComb,
-)
+from madic.patterns import CombGenerator
 from madic.reductions import ReductionData
 from madic.spaces import (
     INFINITY,
@@ -67,43 +61,6 @@ class TestWordsAndBranches:
 
 
 class TestPatternDocs:
-    KINDS = [
-        Comb(0, 1),
-        DoubleComb(0, 1, 1, 0),
-        SplitDoubleComb(0, 1, 0, 1, 1, 0),
-    ]
-
-    def test_kind_round_trip(self):
-        for kind in self.KINDS:
-            doc = codec.pattern_kind_to_json(kind)
-            assert codec.pattern_kind_from_json(doc) == kind
-
-    def test_kind_tags(self):
-        tags = [codec.pattern_kind_to_json(k)["kind"] for k in self.KINDS]
-        assert tags == ["comb", "double_comb", "split_double_comb"]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CodecError):
-            codec.pattern_kind_from_json({"kind": "zigzag"})
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(CodecError):
-            codec.pattern_kind_from_json({"kind": "comb", "i": 0})
-
-    def test_first_move_map_round_trip(self):
-        fmm = FirstMoveMap(
-            ((Word(2, (0,)), Word(2, (1,))), (Word(2, (1, 1)), Word(2, (0, 0))))
-        )
-        doc = codec.first_move_map_to_json(fmm)
-        assert doc == {"pairs": [[[0], [1]], [[1, 1], [0, 0]]]}
-        assert codec.first_move_map_from_json(doc, 2) == fmm
-
-    def test_first_move_map_shape_checked(self):
-        with pytest.raises(CodecError):
-            codec.first_move_map_from_json({"pairs": [[[0]]]}, 2)
-        with pytest.raises(CodecError):
-            codec.first_move_map_from_json({"pairs": 3}, 2)
-
     def test_generator_round_trip(self):
         gen = CombGenerator(Branch(2, (), (0,)), 0, 1, (0, 2, 4))
         doc = codec.generator_to_json(gen)

@@ -17,10 +17,10 @@ from madic import (
     canonical_pattern,
     check_first_move_map,
     comb_nodes,
+    concat,
     find_pattern,
     incidence,
     meet,
-    subtree_embedding,
     well_order_key,
 )
 from conftest import random_word
@@ -79,7 +79,7 @@ def test_prefix_map_is_valid():
     shift = Word(2, (1,))
     for _ in range(25):
         nodes = {random_word(rng, 2) for _ in range(rng.randint(1, 6))}
-        fmm = FirstMoveMap(tuple((w, subtree_embedding(shift, w)) for w in nodes))
+        fmm = FirstMoveMap(tuple((w, concat(shift, w)) for w in nodes))
         assert check_first_move_map(fmm).valid
 
 
@@ -122,7 +122,7 @@ def test_non_bijective_map_rejected():
 
 def test_valid_extension_covers_closures():
     pattern = canonical_pattern(Comb(0, 1), 3, 2)
-    shifted = tuple(subtree_embedding(W2(1), t) for t in pattern)
+    shifted = tuple(concat(W2(1), t) for t in pattern)
     got = check_first_move_map(FirstMoveMap(tuple(zip(pattern, shifted))))
     assert got.valid
     assert set(got.extension) == {meet(a, b) for a in pattern for b in pattern}
@@ -135,8 +135,8 @@ def test_composition_and_inverse_stay_valid():
             {random_word(rng, 2) for _ in range(rng.randint(2, 6))},
             key=well_order_key,
         )
-        first = {w: subtree_embedding(W2(1), w) for w in nodes}
-        second = {v: subtree_embedding(W2(0, 1), v) for v in first.values()}
+        first = {w: concat(W2(1), w) for w in nodes}
+        second = {v: concat(W2(0, 1), v) for v in first.values()}
         composed = FirstMoveMap(tuple((w, second[first[w]]) for w in nodes))
         assert check_first_move_map(composed).valid
         inverse = FirstMoveMap(tuple((v, w) for w, v in first.items()))
@@ -200,16 +200,16 @@ def test_found_subsets_always_revalidate():
 
 def test_subtree_embedding_examples():
     t = W2(0, 1)
-    assert subtree_embedding(W2(), t) == t
-    assert subtree_embedding(W2(1), t) == W2(1, 0, 1)
+    assert concat(W2(), t) == t
+    assert concat(W2(1), t) == W2(1, 0, 1)
     nodes = (W2(0), W2(1), W2(0, 0))
-    fmm = FirstMoveMap(tuple((w, subtree_embedding(W2(1), w)) for w in nodes))
+    fmm = FirstMoveMap(tuple((w, concat(W2(1), w)) for w in nodes))
     assert check_first_move_map(fmm).valid
 
 
 def test_subtree_embedding_on_branch():
     x = Branch(2, (), (0,))
-    assert subtree_embedding(W2(1), x) == Branch(2, (1,), (0,))
+    assert concat(W2(1), x) == Branch(2, (1,), (0,))
 
 
 # -- comb generators -------------------------------------------------------------

@@ -19,21 +19,13 @@ from madic.reductions import (
     ReductionData,
     ReductionError,
     apply_reduction,
-    canonical_family,
     check_reduces,
     induced_branch_map,
-    induced_tree_map,
     induced_word_map,
     restrict_colors,
     search_reduction,
 )
-from madic.spaces import (
-    DisjointFamily,
-    PartitionTable,
-    ScatteredSpace,
-    SpaceError,
-    classify_subspaces,
-)
+from madic.spaces import PartitionTable, classify_subspaces
 from madic.words import Branch, Word, incidence, is_prefix, meet
 
 from conftest import random_branch, random_word
@@ -429,12 +421,6 @@ class TestInducedMaps:
         ones = Branch(2, (), (1,))
         assert induced_branch_map(BLOCK2, ones) == Branch(2, (), (0, 1))
 
-    def test_dispatch_matches_kind(self):
-        w = Word(2, (0, 1))
-        assert induced_tree_map(BLOCK2, w) == induced_word_map(BLOCK2, w)
-        x = Branch(2, (1,), (0,))
-        assert induced_tree_map(BLOCK2, x) == induced_branch_map(BLOCK2, x)
-
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ReductionError):
             induced_word_map(BLOCK2, Word(3, (2,)))
@@ -474,35 +460,3 @@ class TestInducedMaps:
             assert incidence(image_branch, tooth) == eps
             depths.append(len(meet(image_branch, tooth)))
         assert depths == sorted(set(depths))
-
-
-# -- canonical disjoint families --------------------------------------------------------
-
-
-class TestCanonicalFamily:
-    def test_two_colours_single_pair_class(self):
-        fam = canonical_family(2)
-        assert fam.m == 2
-        assert fam.classes == (frozenset({0, 1}),)
-
-    def test_three_colours_two_singletons(self):
-        fam = canonical_family(3)
-        assert fam.m == 2
-        assert fam.classes == (frozenset({0}), frozenset({1}))
-
-    def test_five_colours_four_singletons(self):
-        fam = canonical_family(5)
-        assert fam.m == 4
-        assert fam.classes == tuple(frozenset({a}) for a in range(4))
-
-    def test_class_count_matches_degree(self):
-        # The scattered space on the n-th family has degree n: one more
-        # than its class count.
-        for n in range(2, 7):
-            fam = canonical_family(n)
-            assert fam.n + 1 == n
-            assert ScatteredSpace(fam).separation_arity == n + 1
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(SpaceError):
-            canonical_family(1)

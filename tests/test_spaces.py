@@ -28,10 +28,7 @@ from madic.spaces import (
     descriptor_contains,
     family_intersection_empty,
     interleave_branch,
-    isolation_tests,
-    not_separated_search,
     separate_points,
-    separating_test,
     split_embedding,
     verify_convergence,
 )
@@ -59,20 +56,9 @@ def w(*letters: int, m: int = 2) -> Word:
     return Word(m, letters)
 
 
-def all_words(m: int, depth: int) -> list[Word]:
-    return [
-        Word(m, t)
-        for k in range(depth + 1)
-        for t in itertools.product(range(m), repeat=k)
-    ]
-
-
 def sample_points(space, rng: random.Random, count: int):
     """Assorted valid points of the space, never INFINITY for partitions."""
-    if isinstance(space, PartitionSpace):
-        m, n, scattered = space.table.m, space.table.n, False
-    else:
-        m, n, scattered = space.family.m, space.family.n, True
+    m, n, scattered = space.m, space.n, isinstance(space, ScatteredSpace)
     pts = []
     for _ in range(count):
         kind = rng.randrange(3 if scattered and n else 2)
@@ -107,17 +93,18 @@ class TestTableValidation:
         t = PartitionTable(2, ((5, 9), (5, 5)))
         assert t.n == 2
         assert t.colors == (5, 9)
-        assert t.class_index(0, 1) == 1
-        assert t.piece(1) == frozenset({(0, 1)})
+        cells = itertools.product(range(2), repeat=2)
+        assert [t.class_index(i, j) for i, j in cells] == [0, 1, 0, 0]
 
     def test_pieces_partition_the_square(self):
+        # Every cell lies in the class of its colour, and every class is hit.
         rng = random.Random(7)
         for _ in range(25):
             t = random_table(rng, rng.randrange(2, 5), rng.randrange(1, 5))
-            cells = [c for p in t.pieces() for c in p]
-            assert sorted(cells) == sorted(
-                (i, j) for i in range(t.m) for j in range(t.m)
-            )
+            cells = list(itertools.product(range(t.m), repeat=2))
+            assert {t.class_index(i, j) for i, j in cells} == set(range(t.n))
+            for i, j in cells:
+                assert t.colors[t.class_index(i, j)] == t.color(i, j)
 
     def test_family_rejects_overlap(self):
         with pytest.raises(SpaceError):
@@ -457,8 +444,8 @@ class TestDescriptors:
         assert descriptor_contains(CoSingleton(s), LimitPoint(ZEROS, 0), space)
 
     def test_isolation_certificate(self):
-        # Value 1 at the node and 0 at its children holds only for the node
-        # point itself, across both space kinds.
+        # The singleton at a node holds the node point and no other point,
+        # across both space kinds.
         rng = random.Random(23)
         for _ in range(30):
             m = rng.randrange(2, 4)
@@ -467,16 +454,13 @@ class TestDescriptors:
             else:
                 space = ScatteredSpace(random_family(rng, m))
             s = random_word(rng, m, max_len=4)
-            tests = isolation_tests(s)
-            expected = [1] + [0] * m
-
-            def certifies(point):
-                return [space.value(point, t) for t in tests] == expected
-
-            assert certifies(NodePoint(s))
-            for other in sample_points(space, rng, 8):
+            assert descriptor_contains(Singleton(s), NodePoint(s), space)
+            others = sample_points(space, rng, 8) + [NodePoint(s.child(0))]
+            if s.letters:
+                others.append(NodePoint(s.prefix(len(s) - 1)))
+            for other in others:
                 if other != NodePoint(s):
-                    assert not certifies(other), (s, other)
+                    assert not descriptor_contains(Singleton(s), other, space), (s, other)
 
     def test_emptiness_certificates(self):
         assert family_intersection_empty([Singleton(w(0)), CoSingleton(w(0))])
@@ -538,11 +522,15 @@ class TestSeparatePoints:
         space = PartitionSpace(P20)
         with pytest.raises(SpaceError):
             separate_points([INFINITY, NodePoint(w(0)), NodePoint(w(1))], space)
+        # Without a node point no evaluation would meet the infinity point.
+        with pytest.raises(SpaceError, match="no infinity point"):
+            separate_points([LimitPoint(ZEROS, 0), LimitPoint(ONES, 0), INFINITY], space)
 
     def test_arities(self):
         assert PartitionSpace(P20).separation_arity == 3
         fam = DisjointFamily(3, (frozenset({0}), frozenset({1})))
         assert ScatteredSpace(fam).separation_arity == 4
+        assert (PartitionSpace(P20).m, ScatteredSpace(fam).m) == (2, 3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_membership_and_emptiness_randomized(self, seed):
@@ -574,69 +562,6 @@ def _distinct_points(space, rng: random.Random):
         if len(set(pts)) == arity:
             return pts
     return None
-
-
-class TestSeparatingTest:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_distinct_points_are_distinguished(self, seed):
-        rng = random.Random(seed)
-        for _ in range(25):
-            m = rng.randrange(2, 4)
-            if rng.random() < 0.5:
-                space = PartitionSpace(random_table(rng, m, rng.randrange(1, 4)))
-            else:
-                space = ScatteredSpace(random_family(rng, m))
-            a, b = sample_points(space, rng, 2)
-            t = separating_test(a, b, space)
-            if a == b:
-                assert t is None
-            else:
-                assert t is not None, (a, b)
-                assert space.value(a, t) != space.value(b, t)
-
-    def test_equal_points_return_none(self):
-        space = PartitionSpace(P20)
-        p = LimitPoint(ZEROS, 1)
-        assert separating_test(p, p, space) is None
-
-    def test_same_branch_limits_need_class_test(self):
-        space = PartitionSpace(P20)
-        t = separating_test(LimitPoint(ZEROS, 0), LimitPoint(ZEROS, 1), space)
-        assert isinstance(t, ClassTest)
-
-
-# -- bounded non-separation search ------------------------------------------------
-
-
-class TestNotSeparatedSearch:
-    def test_single_set_cannot_separate_two_pieces(self):
-        sets = [all_words(2, 5)]
-        out = not_separated_search(sets, P20, depth=5, budget=10_000)
-        assert out.kind == "counterexample"
-        assert out.witness is not None and set(out.witness) == {0, 1}
-        for teeth in out.witness.values():
-            assert len(teeth) >= 3
-
-    def test_trace_family_small_budget_inconclusive(self):
-        space = PartitionSpace(P20)
-        words = all_words(2, 3)
-        traces = []
-        for t in words:
-            traces.append(
-                [s for s in words if space.value(NodePoint(s), NodeTest(t)) == 1]
-            )
-            traces.append([t])
-        out = not_separated_search(traces, P20, depth=3, budget=8)
-        assert out.kind == "inconclusive"
-        assert out.checked == 8
-
-    def test_empty_family_is_a_counterexample(self):
-        out = not_separated_search([], P20, depth=5, budget=100)
-        assert out.kind == "counterexample"
-
-    def test_depth_below_three_teeth_inconclusive(self):
-        out = not_separated_search([all_words(2, 2)], P20, depth=2, budget=100)
-        assert out.kind == "inconclusive"
 
 
 # -- classical subspaces -------------------------------------------------------
