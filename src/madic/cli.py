@@ -118,6 +118,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 2:
         print("error: --n must be at least 2", file=sys.stderr)
         return USAGE_ERROR
+    if args.n > 6:  # n = 6 takes seconds, n = 7 does not end within minutes
+        print("error: --n must be in 2..6", file=sys.stderr)
+        return USAGE_ERROR
     types = enumerate_types(args.n)
     if args.format == "table":
         sys.stdout.write(render_type_table(args.n, types))
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="dense types on n colours")
+    p = sub.add_parser("enumerate", help="dense types on n = 2..6 colours")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_enumerate)

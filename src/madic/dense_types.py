@@ -181,28 +181,52 @@ def permute_type(t: DenseType, pi: Sequence[int]) -> DenseType:
     )
 
 
+def _role_ranges(sizes: Iterable[int]) -> list[range]:
+    """Consecutive colour ranges for roles of the given sizes, A first."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def canonical_form(t: DenseType) -> DenseType:
-    """Least relabelling of the type under all colour permutations."""
-    best = None
-    for pi in itertools.permutations(range(t.n)):
-        cand = permute_type(t, pi)
-        if best is None or cand.encoding() < best.encoding():
-            best = cand
-    return best  # type: ignore[return-value]
+    """Least relabelling of the type under all colour permutations.
+
+    Encodings compare A first, then B and so on, so a least relabelling
+    puts the roles on consecutive colour ranges and only the permutations
+    inside each range remain; psi and gamma compare as their values read
+    along the sorted pairs of the A range and the sorted D range.
+    """
+    roles = [sorted(r) for r in (t.A, t.B, t.C, t.D, t.E)]
+    order = [c for r in roles for c in r]
+    ranges = _role_ranges(len(r) for r in roles)
+    psi, gamma = t.psi_map, t.gamma_map
+    pairs = list(itertools.permutations(ranges[0], 2))
+    best_key, best_pi = None, None
+    for choice in itertools.product(*map(itertools.permutations, ranges)):
+        images = list(itertools.chain.from_iterable(choice))
+        pi, inv = dict(zip(order, images)), dict(zip(images, order))
+        key = (
+            [pi[psi[inv[i], inv[j]]] for i, j in pairs],
+            sorted(sorted(pi[a] for a in b) for b in t.blocks),
+            [pi[gamma[inv[d]]] for d in ranges[3]],
+        )
+        if best_key is None or key < best_key:
+            best_key, best_pi = key, pi
+    return permute_type(t, best_pi)  # type: ignore[arg-type]
 
 
 def enumerate_types(n: int) -> tuple[DenseType, ...]:
     """All dense types on n colours, one canonical member per relabelling
-    class, sorted by their encodings."""
+    class, sorted by their encodings.  Every class has a member with its
+    roles on consecutive colour ranges, so only the compositions
+    (a, b, c, d, e) of n are walked."""
     if n < 2:
         raise TypeError_("need at least two colours")
     found: dict[tuple, DenseType] = {}
-    colours = range(n)
-    for assignment in itertools.product(range(5), repeat=n):
-        sets: list[set[int]] = [set(), set(), set(), set(), set()]
-        for c, which in zip(colours, assignment):
-            sets[which].add(c)
-        a, b, c_, d, e = (frozenset(s) for s in sets)
+    for sizes in itertools.product(range(n + 1), repeat=4):
+        if sum(sizes) > n:
+            continue
+        ranges = _role_ranges(sizes + (n - sum(sizes),))
+        a, b, c_, d, e = (frozenset(r) for r in ranges)
         pairs = sorted((i, j) for i in a for j in a if i != j)
         if (not pairs and b) or (pairs and not b):
             continue

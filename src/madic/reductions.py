@@ -109,6 +109,7 @@ def search_reduction(
     if not set(f.colors) <= set(g.colors):
         return None
     m0, m1 = f.m, g.m
+    fc = [[f.color(u, v) for v in range(m0)] for u in range(m0)]
     for k in range(1, max_k + 1):
         words = [Word(m1, ls) for ls in itertools.product(range(m1), repeat=k)]
         anchors = [
@@ -116,32 +117,37 @@ def search_reduction(
             for length in range(k)
             for ls in itertools.product(range(m1), repeat=length)
         ]
+        # g's colour of each ordered word pair, shared by every anchor; the
+        # cap (every pair at k = 4 over four letters) bounds memory.
+        pair_colour: dict[tuple[int, int], int] = {}
+
+        def colour(a: int, b: int) -> int:
+            c = pair_colour.get((a, b))
+            if c is None:
+                c = g.color(*incidence(words[a], words[b]))
+                if len(pair_colour) < 1 << 16:
+                    pair_colour[a, b] = c
+            return c
+
         for x in anchors:
-            chosen: list[Word] = []
+            diag = [g.color(*incidence(w, x)) for w in words]
+            chosen: list[int] = []
 
             def place(u: int) -> Optional[ReductionData]:
                 if u == m0:
-                    return ReductionData(tuple(chosen), x)
-                for w in words:
-                    if w in chosen:
+                    return ReductionData(tuple(words[i] for i in chosen), x)
+                for w in range(len(words)):
+                    if diag[w] != fc[u][u] or w in chosen:
                         continue
-                    if g.color(*incidence(w, x)) != f.color(u, u):
-                        continue
-                    ok = True
-                    for v, wv in enumerate(chosen):
-                        if g.color(*incidence(wv, w)) != f.color(v, u):
-                            ok = False
-                            break
-                        if g.color(*incidence(w, wv)) != f.color(u, v):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    chosen.append(w)
-                    hit = place(u + 1)
-                    if hit is not None:
-                        return hit
-                    chosen.pop()
+                    if all(
+                        colour(wv, w) == fc[v][u] and colour(w, wv) == fc[u][v]
+                        for v, wv in enumerate(chosen)
+                    ):
+                        chosen.append(w)
+                        hit = place(u + 1)
+                        if hit is not None:
+                            return hit
+                        chosen.pop()
                 return None
 
             found = place(0)

@@ -13,13 +13,16 @@ import random
 
 from madic import (
     Branch,
+    DenseType,
     DisjointFamily,
     GeneratorExhaustedError,
     NodePoint,
     NodeTest,
     PartitionTable,
+    ReductionData,
     StabilizationReport,
     Word,
+    incidence,
 )
 
 
@@ -145,3 +148,72 @@ def convergence_oracle(gen, space, tests, horizon=None) -> list:
             k0 = bad[-1] + 1 if bad else 0
             reports.append(StabilizationReport(test, lim_val, k0, horizon))
     return reports
+
+
+def relabelled_encoding(t: DenseType, pi) -> tuple:
+    """DenseType.encoding of t with every colour c renamed pi[c]."""
+    roles = (tuple(sorted(pi[c] for c in r)) for r in (t.A, t.B, t.C, t.D, t.E))
+    return (
+        t.n,
+        *roles,
+        tuple(sorted((pi[i], pi[j], pi[v]) for i, j, v in t.psi)),
+        tuple(sorted(tuple(sorted(pi[c] for c in b)) for b in t.blocks)),
+        tuple(sorted((pi[d], pi[v]) for d, v in t.gamma)),
+    )
+
+
+def canonical_oracle(t: DenseType) -> DenseType:
+    """Least relabelling of a type, by scanning all n! colour permutations."""
+    pi = min(
+        itertools.permutations(range(t.n)),
+        key=lambda pi: relabelled_encoding(t, pi),
+    )
+    _, a, b, c, d, e, psi, blocks, gamma = relabelled_encoding(t, pi)
+    return DenseType(t.n, *map(frozenset, (a, b, c, d, e)), psi, blocks, gamma)
+
+
+def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):
+    """search_reduction without memoised colours: every anchor rebuilds
+    the incidences of each word pair it tries, in the same search order."""
+    if not set(f.colors) <= set(g.colors):
+        return None
+    m0, m1 = f.m, g.m
+    for k in range(1, max_k + 1):
+        words = [Word(m1, ls) for ls in itertools.product(range(m1), repeat=k)]
+        anchors = [
+            Word(m1, ls)
+            for length in range(k)
+            for ls in itertools.product(range(m1), repeat=length)
+        ]
+        for x in anchors:
+            chosen: list[Word] = []
+
+            def place(u: int):
+                if u == m0:
+                    return ReductionData(tuple(chosen), x)
+                for w in words:
+                    if w in chosen:
+                        continue
+                    if g.color(*incidence(w, x)) != f.color(u, u):
+                        continue
+                    ok = True
+                    for v, wv in enumerate(chosen):
+                        if g.color(*incidence(wv, w)) != f.color(v, u):
+                            ok = False
+                            break
+                        if g.color(*incidence(w, wv)) != f.color(u, v):
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    chosen.append(w)
+                    hit = place(u + 1)
+                    if hit is not None:
+                        return hit
+                    chosen.pop()
+                return None
+
+            found = place(0)
+            if found is not None:
+                return found
+    return None

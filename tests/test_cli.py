@@ -59,6 +59,26 @@ class TestEnumerate:
         assert code == 2
         assert "at least 2" in err
 
+    @pytest.mark.parametrize("n", ["7", "9"])
+    def test_count_above_six_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "enumerate", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must be in 2..6\n"
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("enumerate", "--n", "5"), "enumerate_n5.json"),
+            (("enumerate", "--n", "5", "--format", "table"), "enumerate_n5.txt"),
+            (("tables",), "tables.txt"),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     def test_json_tables_parse_back(self, capsys):
         doc = run_json(capsys, "enumerate", "--n", "3")
         tables = [codec.table_from_json(e["table"]) for e in doc["types"]]

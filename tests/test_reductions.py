@@ -1,8 +1,12 @@
 """Dense types, their induced colourings, and reduction maps."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+
+from madic import codec
 
 from madic.dense_types import (
     DenseType,
@@ -28,7 +32,15 @@ from madic.reductions import (
 from madic.spaces import PartitionTable, classify_subspaces
 from madic.words import Branch, Word, incidence, is_prefix, meet
 
-from conftest import random_branch, random_word
+from conftest import (
+    canonical_oracle,
+    random_branch,
+    random_table,
+    random_word,
+    search_oracle,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 P20 = PartitionTable.dense(2, 2, ((0, 1), (0, 0)))
 P21 = PartitionTable.dense(2, 2, ((0, 1), (1, 1)))
@@ -160,6 +172,45 @@ class TestEnumerateTypes:
     def test_two_colour_tables_are_the_known_pair(self):
         tables = {partition_from_type(t)[1].values for t in enumerate_types(2)}
         assert tables == {P20.values, P21.values}
+
+
+class TestCanonicalFormOracle:
+    """canonical_form against the scan of all n! relabellings."""
+
+    @staticmethod
+    def check_relabellings(t, rng, count=4):
+        want = canonical_oracle(t)
+        assert canonical_form(t) == want
+        for _ in range(count):
+            pi = list(range(t.n))
+            rng.shuffle(pi)
+            assert canonical_form(permute_type(t, pi)) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_relabelled_catalogue_types(self, n):
+        rng = random.Random(n)
+        for t in enumerate_types(n):
+            assert canonical_oracle(t) == t
+            self.check_relabellings(t, rng)
+
+    def test_golden_rows(self):
+        # The recorded n <= 4 rows are not least relabellings themselves.
+        rng = random.Random(7)
+        rows = []
+        for n in (2, 3, 4):
+            doc = json.loads((GOLDEN / f"types_n{n}.json").read_text())
+            rows += doc["rows"]
+        doc = json.loads((GOLDEN / "enumerate_n5.json").read_text())
+        rows += [entry["type"] for entry in doc["types"]]
+        for row in rows:
+            self.check_relabellings(codec.dense_type_from_json(row), rng, 2)
+
+    def test_six_colours(self):
+        types = enumerate_types(6)
+        assert len(types) == 184
+        assert len({t.encoding() for t in types}) == 184
+        for t in types:
+            assert canonical_oracle(t) == t
 
 
 # -- induced colourings -----------------------------------------------------------
@@ -347,6 +398,21 @@ class TestSearchReduction:
         step1 = restrict_colors(g, 2)
         step2 = restrict_colors(step1.table, 1)
         assert check_reduces(step2.table, g, _compose_search(step2.table, g))
+
+    def test_matches_unmemoised_search(self):
+        # Same witness (the first in search order) or None in both, on
+        # 1,000 random pairs; some f use a colour g lacks.
+        rng = random.Random(2024)
+        for _ in range(1000):
+            m1 = rng.randint(1, 4)
+            n1 = rng.randint(1, min(4, m1 * m1))
+            max_k = rng.randint(1, 3)
+            m0 = rng.randint(1, 3)
+            if (m1, max_k, m0) == (4, 3, 3) and rng.random() < 0.8:
+                m0 = 2  # the oracle takes about 0.5 s on each of these
+            f = random_table(rng, m0, rng.randint(1, min(n1 + 1, m0 * m0)))
+            g = random_table(rng, m1, n1)
+            assert search_reduction(f, g, max_k) == search_oracle(f, g, max_k)
 
 
 def _compose_search(f: PartitionTable, g: PartitionTable) -> ReductionData:
