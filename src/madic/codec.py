@@ -57,9 +57,6 @@ def _int_list(value: Any, what: str) -> list[int]:
 # -- words and branches --------------------------------------------------------
 
 
-def word_to_json(w: Word) -> dict:
-    return {"word": list(w.letters)}
-
 def word_from_json(doc: Any, m: int) -> Word:
     return Word(m, tuple(_int_list(_require(doc, "word"), "word")))
 
@@ -75,14 +72,6 @@ def branch_from_json(doc: Any, m: int) -> Branch:
 
 # -- comb generators ------------------------------------------------------------
 
-
-def generator_to_json(gen: CombGenerator) -> dict:
-    return {
-        "branch": branch_to_json(gen.branch),
-        "i": gen.i,
-        "j": gen.j,
-        "depths": list(gen.depths),
-    }
 
 def generator_from_json(doc: Any, m: int) -> CombGenerator:
     branch = branch_from_json(_require(doc, "branch"), m)
@@ -112,11 +101,15 @@ def table_from_json(doc: Any) -> PartitionTable:
         raise CodecError("values must be a list of rows")
     rows = tuple(tuple(_int_list(row, "table row")) for row in values)
     try:
-        table = PartitionTable(m, rows)
         if "n" in doc:
-            return PartitionTable.dense(m, _int(doc["n"], "n"), rows)
+            table = PartitionTable.dense(m, _int(doc["n"], "n"), rows)
+        else:
+            table = PartitionTable(m, rows)
     except ValueError as exc:
         raise CodecError(str(exc)) from exc
+    colors = list(table.colors)
+    if "colors" in doc and _int_list(doc["colors"], "colors") != colors:
+        raise CodecError(f"colors must equal the table's colours {colors}")
     return table
 
 
@@ -210,27 +203,6 @@ def dense_type_to_json(t: DenseType) -> dict:
         "blocks": [list(b) for b in t.blocks],
         "gamma": [list(g) for g in t.gamma],
     }
-
-def dense_type_from_json(doc: Any) -> DenseType:
-    n = _require(doc, "n")
-    try:
-        psi = tuple(
-            (trip[0], trip[1], trip[2]) for trip in _require(doc, "psi")
-        )
-        gamma = tuple((g[0], g[1]) for g in _require(doc, "gamma"))
-    except (TypeError, IndexError) as exc:
-        raise CodecError("psi needs [i, j, value] triples and gamma [d, value] pairs") from exc
-    return DenseType(
-        n,
-        frozenset(_int_list(_require(doc, "A"), "A")),
-        frozenset(_int_list(_require(doc, "B"), "B")),
-        frozenset(_int_list(_require(doc, "C"), "C")),
-        frozenset(_int_list(_require(doc, "D"), "D")),
-        frozenset(_int_list(_require(doc, "E"), "E")),
-        psi,
-        tuple(tuple(_int_list(b, "block")) for b in _require(doc, "blocks")),
-        gamma,
-    )
 
 
 def reduction_to_json(r: ReductionData) -> dict:

@@ -144,25 +144,13 @@ def _block_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
             yield (pair,) + tail
 
 
-def _surjections(domain: Sequence, codomain: Sequence[int]) -> Iterator[dict]:
-    if not codomain:
-        if not domain:
-            yield {}
-        return
+def _maps(
+    domain: Sequence, codomain: Sequence[int], needed: frozenset[int], times: int
+) -> Iterator[dict]:
+    """Maps domain -> codomain in product order that take every needed
+    colour at least the given number of times."""
     for values in itertools.product(codomain, repeat=len(domain)):
-        if set(values) == set(codomain):
-            yield dict(zip(domain, values))
-
-
-def _gammas(domain: Sequence[int], b: frozenset[int], e: frozenset[int]) -> Iterator[dict]:
-    codomain = sorted(b | e)
-    if not codomain:
-        if not domain:
-            yield {}
-        return
-    for values in itertools.product(codomain, repeat=len(domain)):
-        ok = all(sum(1 for v in values if v == k) >= 2 for k in e)
-        if ok:
+        if all(values.count(c) >= times for c in needed):
             yield dict(zip(domain, values))
 
 
@@ -228,17 +216,15 @@ def enumerate_types(n: int) -> tuple[DenseType, ...]:
         ranges = _role_ranges(sizes + (n - sum(sizes),))
         a, b, c_, d, e = (frozenset(r) for r in ranges)
         pairs = sorted((i, j) for i in a for j in a if i != j)
-        if (not pairs and b) or (pairs and not b):
-            continue
         if not a and (b or d or e):
             continue
         if not a and len(c_) % 2 == 1:
             continue
-        for psi in _surjections(pairs, sorted(b)):
+        for psi in _maps(pairs, sorted(b), b, 1):
             for blocks in _block_partitions(tuple(sorted(c_))):
                 if not a and any(len(blk) != 2 for blk in blocks):
                     continue
-                for gamma in _gammas(sorted(d), b, e):
+                for gamma in _maps(sorted(d), sorted(b | e), e, 2):
                     t = DenseType(
                         n,
                         a,

@@ -10,7 +10,7 @@ node sequences converging inside the compacta built elsewhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Optional, Union
 
 from .words import (
@@ -78,25 +78,19 @@ def canonical_pattern(kind: PatternKind, size: int, m: int) -> tuple[Word, ...]:
     """
     if size < 1:
         raise ValueError("pattern size must be positive")
+    for f in astuple(kind):
+        if not 0 <= f < m:
+            raise AlphabetError(f"letter {f} outside alphabet of size {m}")
     out: list[Word] = []
     if isinstance(kind, Comb):
-        for f in (kind.i, kind.j):
-            if not 0 <= f < m:
-                raise AlphabetError(f"letter {f} outside alphabet of size {m}")
         for q in range(size):
             out.append(Word(m, (kind.i,) * (2 * q) + (kind.j,)))
     elif isinstance(kind, DoubleComb):
-        for f in (kind.i, kind.j, kind.k, kind.l):
-            if not 0 <= f < m:
-                raise AlphabetError(f"letter {f} outside alphabet of size {m}")
         block = (kind.i, kind.i, kind.k, kind.k)
         for q in range(size):
             out.append(Word(m, block * q + (kind.j,)))
             out.append(Word(m, block * q + (kind.i, kind.i, kind.l)))
     else:
-        for f in (kind.u, kind.v, kind.i, kind.j, kind.k, kind.l):
-            if not 0 <= f < m:
-                raise AlphabetError(f"letter {f} outside alphabet of size {m}")
         for q in range(size):
             out.append(Word(m, (kind.u,) + (kind.i,) * (2 * q) + (kind.j,)))
             out.append(Word(m, (kind.v,) + (kind.k,) * (2 * q) + (kind.l,)))
@@ -119,9 +113,6 @@ class FirstMoveMap:
     @property
     def mapping(self) -> dict[Word, Word]:
         return dict(self.pairs)
-
-    def inverse(self) -> "FirstMoveMap":
-        return FirstMoveMap(tuple((t, s) for s, t in self.pairs))
 
 
 @dataclass(frozen=True)

@@ -169,119 +169,57 @@ class RestrictionResult:
     colors: tuple[int, ...]
 
 
-def _off_diagonal_colors(g: PartitionTable) -> list[int]:
-    return sorted(
-        {g.color(i, j) for i in range(g.m) for j in range(g.m) if i != j}
-    )
-
-
 def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     """Build f with exactly n0 of g's colours and a reduction f -> g.
 
-    Mirrors the two-case construction: when at most n0 colours appear off
-    the diagonal, one splitting pair per such colour plus diagonal letters
-    for the rest; otherwise a chain of splitting pairs collecting colours
+    One chain of splitting pairs (u_r, v_r) serves both cases: the anchor
+    is x = v_0 v_1 ..., and letter word r is x[:r] u_r padded with 0, so it
+    shows g(u_r, v_r) on the diagonal and toward later words, which show
+    g(v_r, u_r) toward it.  When at most n0 colours appear off the
+    diagonal, the pairs are the least one of each such colour, and words
+    x w on diagonal letters w add the rest; otherwise pairs collect colours
     greedily until the target count is reached.
     """
     if g.m < 2:
         raise ReductionError("need at least two letters to restrict colours")
     if not 1 <= n0 < g.n:
         raise ReductionError(f"colour target must be in 1..{g.n - 1}, got {n0}")
-    off = _off_diagonal_colors(g)
+    pairs = list(itertools.permutations(range(g.m), 2))
+    off = sorted({g.color(*p) for p in pairs})
+    diags: list[int] = []
     if len(off) <= n0:
-        result = _restrict_few_off_diagonal(g, n0, off)
+        extra = [c for c in g.colors if c not in off][: n0 - len(off)]
+        if len(extra) < n0 - len(off):
+            raise ReductionError("internal invariant failed: not enough colours")
+        splits = [next(p for p in pairs if g.color(*p) == c) for c in off]
+        diags = [min(w for w in range(g.m) if g.color(w, w) == c) for c in extra]
     else:
-        result = _restrict_chain(g, n0)
-    table, reduction = result
+        splits, seen = [], set[int]()
+        for u, v in pairs:
+            if len(seen) >= n0 - 1:
+                break
+            new = {g.color(u, v), g.color(v, u)} - seen
+            if new:
+                splits.append((u, v))
+                seen |= new
+        # The last pair adds one missing colour, or repeats the first pair
+        # when the greedy pairs already reach n0.
+        if len(seen) < n0:
+            splits.append(next(p for p in pairs if g.color(*p) not in seen))
+        else:
+            splits.append(splits[0])
+    x = tuple(v for _, v in splits)
+    e = [x[:r] + (u,) + (0,) * (len(x) - r) for r, (u, _) in enumerate(splits)]
+    e += [x + (w,) for w in diags]
+    reduction = ReductionData(tuple(Word(g.m, w) for w in e), Word(g.m, x))
+    values = tuple(
+        tuple(g.color(*pair) for pair in row) for row in apply_reduction(reduction)
+    )
+    table = PartitionTable(len(e), values)
     colors = table.colors
     assert len(colors) == n0
     assert check_reduces(table, g, reduction)
     return RestrictionResult(table, reduction, colors)
-
-
-def _restrict_few_off_diagonal(
-    g: PartitionTable, n0: int, off: list[int]
-) -> tuple[PartitionTable, ReductionData]:
-    # Colours appearing off the diagonal, then enough diagonal-only colours
-    # to reach n0.  One splitting pair (u_c, v_c) realises each colour of
-    # the first kind; a diagonal letter w_c realises each of the second.
-    m1 = g.m
-    diag_only = [c for c in g.colors if c not in off]
-    extra = diag_only[: n0 - len(off)]
-    if len(extra) < n0 - len(off):
-        raise ReductionError("internal invariant failed: not enough colours")
-    splits: list[tuple[int, int]] = []
-    for c in off:
-        pair = min(
-            (u, v)
-            for u in range(m1)
-            for v in range(m1)
-            if u != v and g.color(u, v) == c
-        )
-        splits.append(pair)
-    diags: list[int] = []
-    for c in extra:
-        diags.append(min(w for w in range(m1) if g.color(w, w) == c))
-    xi = len(off)
-    k = xi + 1
-    x = Word(m1, tuple(v for _, v in splits))
-    e: list[Word] = []
-    for idx, (u, v) in enumerate(splits):
-        letters = tuple(vv for _, vv in splits[:idx]) + (u,)
-        letters += (0,) * (k - len(letters))
-        e.append(Word(m1, letters))
-    for w in diags:
-        e.append(Word(m1, x.letters + (w,)))
-    r = ReductionData(tuple(e), x)
-    eps = apply_reduction(r)
-    values = tuple(
-        tuple(g.color(*eps[u][v]) for v in range(len(e))) for u in range(len(e))
-    )
-    return PartitionTable(len(e), values), r
-
-
-def _restrict_chain(g: PartitionTable, n0: int) -> tuple[PartitionTable, ReductionData]:
-    # More off-diagonal colours than wanted: chain splitting pairs, each new
-    # letter word splitting off the previous anchor, so pair r contributes
-    # colours g(i_r, j_r) and (except the last) g(j_r, i_r).
-    m1 = g.m
-    pairs: list[tuple[int, int]] = []
-    values: set[int] = set()
-    for u, v in itertools.product(range(m1), repeat=2):
-        if u == v:
-            continue
-        if len(values) >= n0 - 1:
-            break
-        new = {g.color(u, v), g.color(v, u)} - values
-        if not new:
-            continue
-        pairs.append((u, v))
-        values |= new
-    if len(values) == n0:
-        final = pairs[0]
-    else:
-        assert len(values) == n0 - 1
-        final = min(
-            (u, v)
-            for u in range(m1)
-            for v in range(m1)
-            if u != v and g.color(u, v) not in values
-        )
-    pairs.append(final)
-    m0 = len(pairs)
-    k = m0 + 1
-    x = Word(m1, tuple(j for _, j in pairs))
-    e = []
-    for r, (i, j) in enumerate(pairs):
-        letters = tuple(jj for _, jj in pairs[:r]) + (i,)
-        letters += (0,) * (k - len(letters))
-        e.append(Word(m1, letters))
-    rd = ReductionData(tuple(e), x)
-    eps = apply_reduction(rd)
-    vals = tuple(
-        tuple(g.color(*eps[u][v]) for v in range(m0)) for u in range(m0)
-    )
-    return PartitionTable(m0, vals), rd
 
 
 # -- induced tree maps ---------------------------------------------------------

@@ -588,11 +588,13 @@ def _split_tail(table: PartitionTable) -> tuple[int, ...]:
     raise SpaceError(f"split embedding undefined for {_EXCLUDED}")
 
 
+def _interleave(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(itertools.chain.from_iterable((a, 0, 1) for a in letters))
+
+
 def interleave_branch(x: Branch) -> Branch:
     """x0 0 1 x1 0 1 ... : the branch's letters spaced by marker pairs."""
-    stem = tuple(itertools.chain.from_iterable((a, 0, 1) for a in x.stem))
-    period = tuple(itertools.chain.from_iterable((a, 0, 1) for a in x.period))
-    return Branch(2, stem, period)
+    return Branch(2, _interleave(x.stem), _interleave(x.period))
 
 
 def split_embedding(
@@ -624,6 +626,4 @@ def split_embedding(
     letters = point.word.letters
     if not letters:
         return (Branch(2, (), tail), 1 - tail[0])
-    stem = tuple(itertools.chain.from_iterable((a, 0, 1) for a in letters[:-1]))
-    stem += (letters[-1],)
-    return (Branch(2, stem, tail), tail[0])
+    return (Branch(2, _interleave(letters)[:-2], tail), tail[0])

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from madic import codec
 from madic.dense_types import (
+    DenseType,
     canonical_form,
     enumerate_types,
     partition_from_type,
@@ -101,7 +101,7 @@ def test_criterion_1_enumeration_goldens():
             assert len(types) == golden["count"], (
                 f"n={n}: enumerated {len(types)}, recorded {golden['count']}"
             )
-            rows = [codec.dense_type_from_json(doc) for doc in golden["rows"]]
+            rows = [DenseType(**doc) for doc in golden["rows"]]
             assert {canonical_form(t) for t in rows} == set(types), (
                 f"n={n}: recorded rows do not relabel onto the enumerated types"
             )

@@ -120,6 +120,14 @@ class TestClassify:
         assert code == 3
         assert "error:" in err
 
+    def test_colors_must_match_values(self, capsys, write):
+        doc = {"m": 2, "values": [[0, 1], [1, 1]], "colors": [5, 6]}
+        code, out, err = run(capsys, "classify", write("g.json", doc))
+        assert (code, out) == (3, "")
+        assert "error: colors must equal the table's colours [0, 1]" in err
+        doc["colors"] = [0, 1]
+        assert run_json(capsys, "classify", write("g.json", doc))["classes"] == 2
+
     @pytest.mark.parametrize("field", ["m", "n"])
     def test_string_size_is_validation_error(self, capsys, write, field):
         path = write("g.json", dict(P20_DOC, **{field: "2"}))
@@ -372,6 +380,22 @@ class TestReduce:
         g = PartitionTable.dense(2, 3, ((0, 2), (2, 1)))
         r = codec.reduction_from_json(doc["reduction"], 2)
         assert check_reduces(f, g, r)
+
+    def test_construct_matches_golden(self, capsys, write):
+        """Each golden line holds N0, the colouring g and the stdout of
+        `reduce --construct N0 --g g`: every n <= 5 catalogue colouring with
+        each N0, then seeded random tables over up to four letters."""
+        cases = {"few off-diagonal colours": 0, "chain": 0}
+        for line in (GOLDEN / "construct.txt").read_text().splitlines():
+            n0, g, expected = line.split("\t")
+            doc = json.loads(g)
+            m, values = doc["m"], doc["values"]
+            off = {values[i][j] for i in range(m) for j in range(m) if i != j}
+            few = len(off) <= int(n0)
+            cases["few off-diagonal colours" if few else "chain"] += 1
+            argv = ["reduce", "--construct", n0, "--g", write("g.json", doc)]
+            assert run(capsys, *argv)[:2] == (0, expected + "\n")
+        assert all(cases.values()), cases
 
     def test_construct_target_out_of_range(self, capsys, write):
         code, _, err = run(

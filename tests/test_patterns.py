@@ -1,10 +1,12 @@
 """Comb prototypes, first-move equivalence, pattern search, generators."""
 
+import dataclasses
 import random
 
 import pytest
 
 from madic import (
+    AlphabetError,
     Branch,
     Comb,
     CombGenerator,
@@ -61,6 +63,17 @@ def test_split_double_comb_prototype():
 def test_pattern_size_must_be_positive():
     with pytest.raises(ValueError):
         canonical_pattern(Comb(0, 1), 0, 2)
+
+
+@pytest.mark.parametrize(
+    "kind", [Comb(0, 1), DoubleComb(0, 1, 1, 0), SplitDoubleComb(0, 1, 0, 1, 1, 0)]
+)
+def test_pattern_letters_checked_in_field_order(kind):
+    letters = list(dataclasses.astuple(kind))
+    for p in range(len(letters)):
+        bad = type(kind)(*letters[:p], *range(2 + p, 2 + len(letters)))
+        with pytest.raises(AlphabetError, match=f"^letter {2 + p} outside .* size 2$"):
+            canonical_pattern(bad, 1, 2)
 
 
 # -- first-move maps -------------------------------------------------------------

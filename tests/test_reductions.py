@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from madic import codec
-
 from madic.dense_types import (
     DenseType,
     TypeError_,
@@ -203,7 +201,7 @@ class TestCanonicalFormOracle:
         doc = json.loads((GOLDEN / "enumerate_n5.json").read_text())
         rows += [entry["type"] for entry in doc["types"]]
         for row in rows:
-            self.check_relabellings(codec.dense_type_from_json(row), rng, 2)
+            self.check_relabellings(DenseType(**row), rng, 2)
 
     def test_six_colours(self):
         types = enumerate_types(6)

@@ -1,8 +1,11 @@
-"""Every exported function has a caller outside the tests.
+"""Every public function and method has a caller outside the tests.
 
 A function in madic.__all__ must be used by the command line front end, by
-a demo, or by other library code.  Imports and definitions do not count as
-uses; only loaded names and attribute lookups do.
+a demo, or by other library code.  A public module-level function of any
+madic module and a public method defined in a class body must each be used
+by library code, by a demo, or by the benchmark in perfbench/.  Imports and
+definitions do not count as uses; only loaded names and attribute lookups
+do.
 """
 
 import ast
@@ -13,6 +16,9 @@ import madic
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "madic"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _used_names(path: Path) -> set[str]:
@@ -25,12 +31,34 @@ def _used_names(path: Path) -> set[str]:
     return names
 
 
+USED_BY_LIBRARY = set().union(*(_used_names(p) for p in MODULES + DEMOS))
+USED = USED_BY_LIBRARY.union(*(_used_names(p) for p in BENCH))
+
+
+def _defined_functions(path: Path) -> list[str]:
+    """Public module-level functions and public methods of class bodies."""
+    tree = ast.parse(path.read_text())
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    out = [f"{path.stem}.{n.name}" for n in tree.body if isinstance(n, defs)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        out += [
+            f"{path.stem}.{cls.name}.{n.name}"
+            for n in cls.body
+            if isinstance(n, defs)
+        ]
+    return [q for q in out if not q.rsplit(".", 1)[1].startswith("_")]
+
+
 def test_every_exported_function_has_a_caller():
-    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    files += (ROOT / "demos").glob("*.py")
-    used = set().union(*(_used_names(p) for p in files))
     exported = [
         name for name in madic.__all__ if inspect.isfunction(getattr(madic, name))
     ]
     assert exported
-    assert sorted(set(exported) - used) == []
+    assert sorted(set(exported) - USED_BY_LIBRARY) == []
+
+
+def test_every_public_function_and_method_has_a_caller():
+    defined = [q for p in MODULES for q in _defined_functions(p)]
+    assert "codec.table_from_json" in defined
+    assert "patterns.CombGenerator.tooth" in defined
+    assert sorted(q for q in defined if q.rsplit(".", 1)[1] not in USED) == []
