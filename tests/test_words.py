@@ -23,7 +23,7 @@ from madic import (
     well_order_cmp,
     well_order_key,
 )
-from conftest import expand, meet_oracle, numeral
+from conftest import expand, meet_oracle, numeral, random_branch, random_word
 
 W = lambda *letters: Word(3, letters)
 W2 = lambda *letters: Word(2, letters)
@@ -233,6 +233,74 @@ def test_incidence_antisymmetry(words):
     assert i != j
     r = meet(a, b)
     assert a.letters[len(r)] == i and b.letters[len(r)] == j
+
+
+def _oracle(name, a, b):
+    """prefix_cmp, is_prefix, meet or incidence of a and b, read off their
+    letters (branches expanded well past any meet of distinct branches)."""
+    if a.m != b.m:
+        raise AlphabetError
+    horizon = 64
+    xs = a.letters if isinstance(a, Word) else expand(a, horizon)
+    ys = b.letters if isinstance(b, Word) else expand(b, horizon)
+    k = len(meet_oracle(a, b, horizon))
+    a_ends = isinstance(a, Word) and k == len(a)
+    b_ends = isinstance(b, Word) and k == len(b)
+    same = k == horizon or (a_ends and b_ends)
+    if name == "prefix_cmp":
+        if same:
+            return PrefixRelation.EQUAL
+        if a_ends or b_ends:
+            return PrefixRelation.A_LEQ_B if a_ends else PrefixRelation.B_LEQ_A
+        return PrefixRelation.INCOMPARABLE
+    if name == "is_prefix":
+        return same or a_ends
+    if name == "meet":
+        return a if k == horizon else Word(a.m, xs[:k])
+    if same:
+        raise IncidenceUndefinedError
+    if a_ends:
+        raise OrientationError
+    return (xs[k], xs[k]) if b_ends else (xs[k], ys[k])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _mixed_pairs(rng):
+    for _ in range(1500):
+        m = rng.randint(2, 3)
+        a = random_branch(rng, m) if rng.random() < 0.5 else random_word(rng, m)
+        b = random_branch(rng, m) if rng.random() < 0.5 else random_word(rng, m)
+        yield a, b
+    for _ in range(100):
+        m = rng.randint(2, 3)
+        x = random_branch(rng, m)
+        w = random_word(rng, m)
+        yield x, Branch(m, x.head(len(x.stem) + len(x.period)), x.period)
+        yield x, x.prefix(rng.randint(0, 6))
+        yield w, w.prefix(rng.randint(0, len(w)))
+        yield w, Word(m, w.letters)
+        yield w, random_word(rng, 5 - m)
+
+
+def test_mixed_operands_match_letter_oracle():
+    ops = {
+        "prefix_cmp": prefix_cmp,
+        "is_prefix": is_prefix,
+        "meet": meet,
+        "incidence": incidence,
+    }
+    rng = random.Random(11)
+    for a, b in _mixed_pairs(rng):
+        for s, t in ((a, b), (b, a)):
+            for name, fn in ops.items():
+                want = _outcome(_oracle, name, s, t)
+                assert _outcome(fn, s, t) == want, (name, s, t)
 
 
 # -- the well order --------------------------------------------------------------
