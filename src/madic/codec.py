@@ -43,7 +43,7 @@ def _require(doc: Any, key: str) -> Any:
 
 
 def _int(value: Any, what: str) -> int:
-    if not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise CodecError(f"{what} must be an integer")
     return value
 
@@ -213,7 +213,7 @@ def reduction_to_json(r: ReductionData) -> dict:
     }
 
 def reduction_from_json(doc: Any, m1: int) -> ReductionData:
-    k = _require(doc, "k")
+    k = _int(_require(doc, "k"), "k")
     x = Word(m1, tuple(_int_list(_require(doc, "x"), "x")))
     e_raw = _require(doc, "e")
     if not isinstance(e_raw, list):

@@ -98,11 +98,20 @@ def search_reduction(
     f: PartitionTable, g: PartitionTable, max_k: int
 ) -> Optional[ReductionData]:
     """Exhaustive search for an embedding witnessing f = g o eps, trying
-    block lengths 1..max_k.
+    block lengths 1..min(max_k, m0 + 1).
 
     The search backtracks over letter words with every placed constraint
-    checked immediately, so it is complete for the decision up to max_k; a
-    None answer certifies only absence within that bound.
+    checked immediately, so it is complete for the decision up to that
+    bound.  Block lengths past m0 + 1 are never needed: cut a witness of
+    length k down to its decision positions, the depths of the pairwise
+    meets of e(0), ..., e(m0 - 1), x, plus |x| when it is not among them.
+    Sorted lexicographically, these m0 + 1 nodes have each pairwise meet
+    among the m0 meets of neighbours, so at most m0 + 1 positions remain.
+    Every pair of letter words keeps its first mismatch and letter pair
+    there, and each letter word keeps its first move away from x, or its
+    letter at |x| when x is its prefix; so the cut words still witness
+    f = g o eps.  The first witness therefore has k <= m0 + 1, and None
+    with max_k >= m0 + 1 proves that f does not reduce to g at all.
     """
     if max_k < 1:
         raise ReductionError("max_k must be at least 1")
@@ -110,25 +119,13 @@ def search_reduction(
         return None
     m0, m1 = f.m, g.m
     fc = [[f.color(u, v) for v in range(m0)] for u in range(m0)]
-    for k in range(1, max_k + 1):
+    for k in range(1, min(max_k, m0 + 1) + 1):
         words = [Word(m1, ls) for ls in itertools.product(range(m1), repeat=k)]
         anchors = [
             Word(m1, ls)
             for length in range(k)
             for ls in itertools.product(range(m1), repeat=length)
         ]
-        # g's colour of each ordered word pair, shared by every anchor; the
-        # cap (every pair at k = 4 over four letters) bounds memory.
-        pair_colour: dict[tuple[int, int], int] = {}
-
-        def colour(a: int, b: int) -> int:
-            c = pair_colour.get((a, b))
-            if c is None:
-                c = g.color(*incidence(words[a], words[b]))
-                if len(pair_colour) < 1 << 16:
-                    pair_colour[a, b] = c
-            return c
-
         for x in anchors:
             diag = [g.color(*incidence(w, x)) for w in words]
             chosen: list[int] = []
@@ -140,7 +137,8 @@ def search_reduction(
                     if diag[w] != fc[u][u] or w in chosen:
                         continue
                     if all(
-                        colour(wv, w) == fc[v][u] and colour(w, wv) == fc[u][v]
+                        g.color(*incidence(words[wv], words[w])) == fc[v][u]
+                        and g.color(*incidence(words[w], words[wv])) == fc[u][v]
                         for v, wv in enumerate(chosen)
                     ):
                         chosen.append(w)

@@ -194,12 +194,10 @@ def partition_value(
     its own branch it is the indicator of its own class.
     """
     _check_partition_point(point, table.n)
-    if isinstance(test, NodeTest):
-        if isinstance(point, NodePoint):
-            return 1 if is_prefix(test.word, point.word) else 0
-        return 1 if is_prefix(test.word, point.branch) else 0
-    _check_class(test.cls, table.n)
     other = point.word if isinstance(point, NodePoint) else point.branch
+    if isinstance(test, NodeTest):
+        return 1 if is_prefix(test.word, other) else 0
+    _check_class(test.cls, table.n)
     if other == test.branch:
         return 1 if point.cls == test.cls else 0
     return 1 if table.class_index(*incidence(test.branch, other)) == test.cls else 0
@@ -221,10 +219,10 @@ def scattered_value(
         if isinstance(test, NodeTest):
             return 1 if test.word == point.word else 0
         _check_class(test.cls, family.n)
-        if prefix_cmp(point.word, test.branch) is not PrefixRelation.A_LEQ_B:
+        if not is_prefix(point.word, test.branch):
             return 0
-        i, j = incidence(test.branch, point.word)
-        return 1 if i == j and i in family.classes[test.cls] else 0
+        i = test.branch.letter(len(point.word))
+        return 1 if i in family.classes[test.cls] else 0
     _check_class(point.cls, family.n)
     if isinstance(test, NodeTest):
         return 0
@@ -452,9 +450,8 @@ def descriptor_contains(
     if isinstance(desc, Cone):
         if isinstance(point, InfinityPoint):
             return False
-        if isinstance(point, NodePoint):
-            return is_prefix(desc.word, point.word)
-        return is_prefix(desc.word, point.branch)
+        other = point.word if isinstance(point, NodePoint) else point.branch
+        return is_prefix(desc.word, other)
     member = space.is_node_point_at(desc.word, point)
     if isinstance(desc, Singleton):
         return member

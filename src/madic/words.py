@@ -58,6 +58,9 @@ class Word:
     def letter(self, i: int) -> int:
         return self.letters[i]
 
+    def head(self, n: int) -> tuple[int, ...]:
+        return self.letters[:n]
+
     def prefix(self, n: int) -> "Word":
         return Word(self.m, self.letters[:n])
 
@@ -153,79 +156,64 @@ def concat(s: Word, t: Element) -> Element:
     return Branch(m, s.letters + t.stem, t.period)
 
 
-def _lcp_len(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    n = min(len(xs), len(ys))
-    for i in range(n):
-        if xs[i] != ys[i]:
-            return i
-    return n
-
-
 def branch_meet_horizon(a: Branch, b: Branch) -> int:
     """Stems plus the lcm of the periods, a depth past the meet of distinct
     branches.  Default convergence horizons use it; meets scan less."""
     return len(a.stem) + len(b.stem) + math.lcm(len(a.period), len(b.period))
 
 
-def _branch_mismatch(a: Branch, b: Branch) -> int | None:
-    # Normal forms are unique, and by Fine and Wilf (1965) words of periods
-    # p and q that agree on p + q - gcd(p, q) letters agree forever.
-    if a == b:
-        return None
-    p, q = len(a.period), len(b.period)
-    h = max(len(a.stem), len(b.stem)) + p + q - math.gcd(p, q)
-    return _lcp_len(a.head(h), b.head(h))
+def _common(a: Element, b: Element) -> int | None:
+    """Length of the longest common prefix of a and b, or None when they are
+    the same branch."""
+    _same_alphabet(a, b)
+    if isinstance(a, Word) and isinstance(b, Word):
+        n = min(len(a.letters), len(b.letters))
+    elif isinstance(a, Word):
+        n = len(a.letters)
+    elif isinstance(b, Word):
+        n = len(b.letters)
+    else:
+        # Normal forms are unique, and by Fine and Wilf (1965) words of periods
+        # p and q that agree on p + q - gcd(p, q) letters agree forever.
+        if a == b:
+            return None
+        p, q = len(a.period), len(b.period)
+        n = max(len(a.stem), len(b.stem)) + p + q - math.gcd(p, q)
+    xs, ys = a.head(n), b.head(n)
+    for i in range(n):
+        if xs[i] != ys[i]:
+            return i
+    return n
+
+
+def _ends(a: Element, k: int) -> bool:
+    """Whether a common prefix of length k uses up all of a; a branch, being
+    infinite, never is."""
+    return isinstance(a, Word) and len(a.letters) == k
 
 
 def prefix_cmp(a: Element, b: Element) -> PrefixRelation:
     """Compare a and b in the prefix (initial segment) order."""
-    _same_alphabet(a, b)
-    if isinstance(a, Word) and isinstance(b, Word):
-        k = _lcp_len(a.letters, b.letters)
-        if k == len(a) and k == len(b):
-            return PrefixRelation.EQUAL
-        if k == len(a):
-            return PrefixRelation.A_LEQ_B
-        if k == len(b):
-            return PrefixRelation.B_LEQ_A
-        return PrefixRelation.INCOMPARABLE
-    if isinstance(a, Word):
-        if b.head(len(a)) == a.letters:
-            return PrefixRelation.A_LEQ_B
-        return PrefixRelation.INCOMPARABLE
-    if isinstance(b, Word):
-        if a.head(len(b)) == b.letters:
-            return PrefixRelation.B_LEQ_A
-        return PrefixRelation.INCOMPARABLE
-    # Two branches: they are infinite, so comparable means equal.
-    if _branch_mismatch(a, b) is None:
+    k = _common(a, b)
+    if k is None or (_ends(a, k) and _ends(b, k)):
         return PrefixRelation.EQUAL
+    if _ends(a, k):
+        return PrefixRelation.A_LEQ_B
+    if _ends(b, k):
+        return PrefixRelation.B_LEQ_A
     return PrefixRelation.INCOMPARABLE
 
 
 def is_prefix(t: Word, a: Element) -> bool:
-    rel = prefix_cmp(t, a)
-    return rel in (PrefixRelation.EQUAL, PrefixRelation.A_LEQ_B)
+    k = _common(t, a)
+    return k is None or _ends(t, k)
 
 
 def meet(a: Element, b: Element) -> Element:
     """Longest common prefix.  A word except when both operands are the same
     branch, in which case the branch itself is returned."""
-    m = _same_alphabet(a, b)
-    if isinstance(a, Word) and isinstance(b, Word):
-        return Word(m, a.letters[:_lcp_len(a.letters, b.letters)])
-    if isinstance(a, Word):
-        return Word(m, a.letters[:_lcp_len(a.letters, b.head(len(a)))])
-    if isinstance(b, Word):
-        return Word(m, b.letters[:_lcp_len(b.letters, a.head(len(b)))])
-    i = _branch_mismatch(a, b)
-    if i is None:
-        return a
-    return Word(m, a.head(i))
-
-
-def _letter_at(a: Element, i: int) -> int:
-    return a.letters[i] if isinstance(a, Word) else a.letter(i)
+    k = _common(a, b)
+    return a if k is None else a.prefix(k)
 
 
 def incidence(a: Element, b: Element) -> tuple[int, int]:
@@ -236,20 +224,15 @@ def incidence(a: Element, b: Element) -> tuple[int, int]:
     (i, i) where i is a's next letter after b.  Calling with a strictly below
     b is an orientation error, and incidence(a, a) is undefined.
     """
-    _same_alphabet(a, b)
-    rel = prefix_cmp(a, b)
-    if rel is PrefixRelation.EQUAL:
+    k = _common(a, b)
+    if k is not None and not _ends(a, k):
+        i = a.letter(k)
+        return (i, i) if _ends(b, k) else (i, b.letter(k))
+    if k is None or _ends(b, k):
         raise IncidenceUndefinedError("incidence of an element with itself")
-    if rel is PrefixRelation.A_LEQ_B:
-        raise OrientationError(
-            "incidence(a, b) with a strictly below b: pass the extending element first"
-        )
-    if rel is PrefixRelation.B_LEQ_A:
-        i = _letter_at(a, len(b))  # type: ignore[arg-type]
-        return (i, i)
-    r = meet(a, b)
-    d = len(r)
-    return (_letter_at(a, d), _letter_at(b, d))
+    raise OrientationError(
+        "incidence(a, b) with a strictly below b: pass the extending element first"
+    )
 
 
 def well_order_key(w: Word) -> tuple[int, tuple[int, ...]]:

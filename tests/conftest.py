@@ -173,8 +173,8 @@ def canonical_oracle(t: DenseType) -> DenseType:
 
 
 def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):
-    """search_reduction without memoised colours: every anchor rebuilds
-    the incidences of each word pair it tries, in the same search order."""
+    """Reference search over Word objects: the letter words and anchors of
+    search_reduction, tried in the same order up to max_k."""
     if not set(f.colors) <= set(g.colors):
         return None
     m0, m1 = f.m, g.m

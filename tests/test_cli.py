@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output formats, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,24 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "--f", f, "--g", g, "--max-k", "3")
         assert code == 4
         assert json.loads(out) == {"found": False, "max_k": 3}
+
+    def test_search_stops_at_block_length_m0_plus_one(self, capsys, write):
+        # g has no symmetric off-diagonal pair, so no block length helps.
+        f = write("f.json", {"m": 2, "n": 2, "values": [[0, 1], [1, 0]]})
+        g = write("g.json", {"m": 2, "n": 2, "values": [[0, 0], [1, 1]]})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "reduce", "--f", f, "--g", g, "--max-k", "1000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, '{"found":false,"max_k":1000000}\n')
+
+    @pytest.mark.parametrize("k", ["1", 1.0, True])
+    def test_check_mode_k_must_be_an_integer(self, capsys, write, k):
+        path = write("g.json", P20_DOC)
+        rpath = write("r.json", {"k": k, "x": [], "e": [[0], [1]]})
+        argv = ["reduce", "--f", path, "--g", path, "--reduction", rpath]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "error: k must be an integer" in err
 
     def test_check_mode(self, capsys, write):
         path = write("g.json", P20_DOC)

@@ -100,6 +100,12 @@ class TestSpaceDocs:
         doc["colors"] = [0, 1]
         assert codec.table_from_json(doc) == PartitionTable(2, ((0, 1), (1, 1)))
 
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_table_bool_size_rejected(self, field):
+        doc = {"m": 2, "n": 2, "values": [[0, 1], [0, 0]], field: True}
+        with pytest.raises(CodecError, match=f"{field} must be an integer"):
+            codec.table_from_json(doc)
+
     def test_table_round_trip_random(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -216,6 +222,14 @@ class TestTypeAndReductionDocs:
     def test_reduction_k_mismatch(self):
         doc = {"k": 3, "x": [0], "e": [[0, 0], [0, 1]]}
         with pytest.raises(CodecError):
+            codec.reduction_from_json(doc, 2)
+
+    @pytest.mark.parametrize("k", ["2", 2.0, True])
+    def test_reduction_k_must_be_an_integer(self, k):
+        # True would equal the length of one-letter words, 2.0 of two-letter ones.
+        e = [[0], [1]] if k is True else [[0, 0], [0, 1]]
+        doc = {"k": k, "x": [], "e": e}
+        with pytest.raises(CodecError, match="k must be an integer"):
             codec.reduction_from_json(doc, 2)
 
     def test_reduction_invalid_data(self):

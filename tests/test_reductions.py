@@ -412,6 +412,28 @@ class TestSearchReduction:
             g = random_table(rng, m1, n1)
             assert search_reduction(f, g, max_k) == search_oracle(f, g, max_k)
 
+    def test_embeddings_found_by_block_length_m0_plus_one(self):
+        # f = g o eps for random embeddings of block length up to m0 + 3;
+        # the search, which stops at m0 + 1, must still find a witness.
+        rng = random.Random(8)
+        for _ in range(1000):
+            m0, m1 = rng.randint(1, 3), rng.randint(2, 3)
+            k = rng.randint(1 if m1 >= m0 else 2, m0 + 3)
+            picks = rng.sample(range(m1**k), m0)
+            e = tuple(Word(m1, _digits(c, m1, k)) for c in picks)
+            x = Word(m1, tuple(rng.randrange(m1) for _ in range(rng.randrange(k))))
+            g = random_table(rng, m1, rng.randint(1, m1 * m1))
+            eps = apply_reduction(ReductionData(e, x))
+            values = tuple(tuple(g.color(*p) for p in row) for row in eps)
+            f = PartitionTable(m0, values)
+            found = search_reduction(f, g, m0 + 1)
+            assert found is not None and check_reduces(f, g, found)
+
+
+def _digits(c: int, m: int, k: int) -> tuple[int, ...]:
+    """The k base-m digits of c, most significant first."""
+    return tuple(c // m**i % m for i in reversed(range(k)))
+
 
 def _compose_search(f: PartitionTable, g: PartitionTable) -> ReductionData:
     found = search_reduction(f, g, 4)
