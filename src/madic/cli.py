@@ -14,6 +14,7 @@ the given bounds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -51,6 +52,8 @@ def _load_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CodecError(f"{path} is not valid JSON: nested too deeply") from exc
 
 
 def _emit(doc: Any) -> None:
@@ -269,7 +272,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so main reuses one parser for every
+    call in a process instead of paying for argparse set-up each time.
+    """
     parser = argparse.ArgumentParser(
         prog="madic",
         description="Exact combinatorics of m-adic trees and their compacta.",
@@ -321,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -1,13 +1,16 @@
 """Command line behaviour: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from madic import codec
-from madic.cli import main
+from madic.cli import build_parser, main
 from madic.dense_types import enumerate_types, partition_from_type
 from madic.reductions import check_reduces
 from madic.spaces import PartitionTable
@@ -17,6 +20,7 @@ P21_DOC = {"m": 2, "n": 2, "values": [[0, 1], [1, 1]]}
 FAM_DOC = {"m": 2, "classes": [[0]]}
 GEN_DOC = {"branch": {"stem": [], "period": [0]}, "i": 0, "j": 1, "count": 3}
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -451,3 +455,91 @@ class TestUsage:
     def test_help_exits_clean(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestDeepJson:
+    """A file nested deeper than json.loads can recurse is invalid input."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "{deep}"),
+            ("reduce", "--g", "{deep}"),
+            ("reduce", "--f", "{deep}", "--g", "{g}"),
+            ("reduce", "--f", "{g}", "--g", "{g}", "--reduction", "{deep}"),
+            ("converge", "--space", "partition", "--table", "{deep}", "--generator", "{gen}"),
+            ("converge", "--space", "scattered", "--family", "{deep}", "--generator", "{gen}"),
+            ("converge", "--space", "partition", "--table", "{g}", "--generator", "{deep}"),
+            (
+                "converge", "--space", "partition", "--table", "{g}",
+                "--generator", "{gen}", "--tests", "{deep}",
+            ),
+            ("separate", "--space", "partition", "--table", "{g}", "--points", "{deep}"),
+        ],
+    )
+    def test_exits_validation_error(self, capsys, write, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        paths = {
+            "deep": str(deep),
+            "g": write("g.json", P20_DOC),
+            "gen": write("gen.json", GEN_DOC),
+        }
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (3, "")
+        assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
+
+
+def run_python(*args):
+    """Exit code, stdout and stderr of `python *args` in a new process that
+    imports madic from this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        code = "import madic.cli as c; print(c.build_parser.cache_info().misses)"
+        assert run_python("-c", code) == (0, "0\n", "")
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, write, monkeypatch):
+        # argparse wraps help to the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        g = write("g.json", P20_DOC)
+        g3 = write("g3.json", {"m": 2, "n": 3, "values": [[0, 1], [2, 0]]})
+        f1 = write("f1.json", {"m": 2, "n": 1, "values": [[0, 0], [0, 0]]})
+        gen = write("gen.json", GEN_DOC)
+        points = write("p.json", TestSeparate.POINTS)
+        bad = write("bad.json", {"m": 2, "n": 2, "values": [[0, 1]]})
+        sequence = [
+            ("enumerate", "--n", "3", "--format", "table"),
+            ("enumerate", "--n", "3"),
+            ("reduce", "--g"),
+            ("tables",),
+            ("classify", g),
+            ("--help",),
+            ("converge", "--space", "partition", "--table", g, "--generator", gen),
+            ("reduce", "--help"),
+            ("separate", "--space", "partition", "--table", g, "--points", points),
+            ("reduce", "--f", g, "--g", g),
+            ("reduce", "--construct", "2", "--g", g3),
+            ("classify", bad),
+            ("reduce", "--f", f1, "--g", g3, "--max-k", "3"),
+            ("enumerate", "--n", "1"),
+            ("transmogrify",),
+            ("enumerate", "--n", "3", "--format", "table"),
+        ]
+        codes = set()
+        for argv in sequence:
+            got = run(capsys, *argv)
+            assert got == run_python("-m", "madic.cli", *argv), argv
+            codes.add(got[0])
+        assert codes == {0, 2, 3, 4}
+        assert build_parser.cache_info().misses <= 1

@@ -1,11 +1,15 @@
 """Dense types, their induced colourings, and reduction maps."""
 
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from madic.cli import render_type_table
 from madic.dense_types import (
     DenseType,
     TypeError_,
@@ -39,6 +43,42 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@st.composite
+def valid_types(draw, max_n=5):
+    """A valid dense type on at most max_n colours, in general not the least
+    relabelling: roles on scattered colours, arbitrary block pairings,
+    unsorted psi and gamma values, and E colours hit more than twice."""
+    n = draw(st.integers(2, max_n))
+    colours = draw(st.permutations(range(n)))
+    # With A empty every colour lies in a paired block; psi on two or more
+    # A colours needs a B colour to take.
+    a = draw(st.integers(0 if n % 2 == 0 else 1, n - 1))
+    b = draw(st.integers(1 if a >= 2 else 0, min(n - a, a * (a - 1))))
+    rest = n - a - b
+    e = draw(st.integers(0, rest // 3)) if a else 0
+    d = draw(st.integers(2 * e, rest - e)) if b + e else 0
+    bounds = list(itertools.accumulate((a, b, rest - d - e, d, e), initial=0))
+    A, B, C, D, E = (colours[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    pairs = draw(st.permutations(list(itertools.permutations(A, 2))))
+    psi = [
+        (i, j, B[k] if k < len(B) else draw(st.sampled_from(B)))
+        for k, (i, j) in enumerate(pairs)
+    ]
+    blocks, items = [], list(C)
+    while items:
+        if len(items) >= 2 and (not A or draw(st.booleans())):
+            blocks.append((items.pop(), items.pop(0)))
+        else:
+            blocks.append((items.pop(),))
+    targets = list(B) + list(E)
+    gamma = [
+        (dd, E[k // 2] if k < 2 * len(E) else draw(st.sampled_from(targets)))
+        for k, dd in enumerate(draw(st.permutations(D)))
+    ]
+    return DenseType(n, A, B, C, D, E, psi, blocks, gamma)
+
 
 P20 = PartitionTable.dense(2, 2, ((0, 1), (0, 0)))
 P21 = PartitionTable.dense(2, 2, ((0, 1), (1, 1)))
@@ -151,8 +191,6 @@ class TestEnumerateTypes:
                 assert canonical_form(t) == t
 
     def test_members_pairwise_inequivalent(self):
-        import itertools
-
         for n in (2, 3, 4):
             types = enumerate_types(n)
             for s, t in itertools.combinations(types, 2):
@@ -209,6 +247,16 @@ class TestCanonicalFormOracle:
         assert len({t.encoding() for t in types}) == 184
         for t in types:
             assert canonical_oracle(t) == t
+        expected = (GOLDEN / "enumerate_n6.txt").read_text()
+        assert render_type_table(6, types) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_types_outside_the_catalogue(self, data):
+        t = data.draw(valid_types())
+        assert validate_type(t) == []
+        pi = data.draw(st.permutations(range(t.n)))
+        assert canonical_form(permute_type(t, pi)) == canonical_oracle(t)
 
 
 # -- induced colourings -----------------------------------------------------------
