@@ -5,10 +5,13 @@ Enumerating dense types and their induced colourings
 A dense type on n colours distributes the colours into five roles and
 induces a square colouring of a finite alphabet through a four-case
 formula.  A least relabelling puts the roles on consecutive colour
-ranges, so enumeration walks the role sizes (a, b, c, d, e), builds
-every type with those ranges and keeps one canonical representative per
-relabelling class, giving exactly 2, 3, 8 and 23 types on 2, 3, 4 and 5
-colours.
+ranges, and fixes every role's order but A's in closed form: B in the
+order psi first takes its colours, singleton blocks before pairs, D by
+gamma value and E by descending number of gamma preimages.  So
+enumeration walks the role sizes (a, b, c, d, e), builds only types
+already in those forms, and searches the orders of A to keep one
+canonical representative per relabelling class, giving exactly 2, 3, 8
+and 23 types on 2, 3, 4 and 5 colours.
 """
 
 from madic import enumerate_types, partition_from_type, validate_type

@@ -13,8 +13,9 @@ n classes and minimal open degree among its kind.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .spaces import PartitionTable
 
@@ -129,31 +130,6 @@ def validate_type(t: DenseType) -> list[str]:
     return out
 
 
-def _block_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of items into blocks of size one or two."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for tail in _block_partitions(rest):
-        yield ((first,),) + tail
-    for idx in range(len(rest)):
-        pair = (first, rest[idx])
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for tail in _block_partitions(remaining):
-            yield (pair,) + tail
-
-
-def _maps(
-    domain: Sequence, codomain: Sequence[int], needed: frozenset[int], times: int
-) -> Iterator[dict]:
-    """Maps domain -> codomain in product order that take every needed
-    colour at least the given number of times."""
-    for values in itertools.product(codomain, repeat=len(domain)):
-        if all(values.count(c) >= times for c in needed):
-            yield dict(zip(domain, values))
-
-
 def permute_type(t: DenseType, pi: Sequence[int]) -> DenseType:
     """Relabel every colour through the permutation pi."""
     return DenseType(
@@ -169,77 +145,96 @@ def permute_type(t: DenseType, pi: Sequence[int]) -> DenseType:
     )
 
 
-def _role_ranges(sizes: Iterable[int]) -> list[range]:
+def _role_ranges(sizes: Iterable[int]) -> list[tuple[int, ...]]:
     """Consecutive colour ranges for roles of the given sizes, A first."""
     bounds = list(itertools.accumulate(sizes, initial=0))
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def canonical_form(t: DenseType) -> DenseType:
-    """Least relabelling of the type under all colour permutations.
+    """Least relabelling of a valid type under all colour permutations.
 
+    The type must satisfy validate_type; an invalid one raises TypeError_.
     Encodings compare A first, then B and so on, so a least relabelling
-    puts the roles on consecutive colour ranges and only the permutations
-    inside each range remain; psi and gamma compare as their values read
-    along the sorted pairs of the A range and the sorted D range.
+    puts the roles on consecutive colour ranges, and only the permutations
+    inside each range remain.  Psi and gamma then compare as their values
+    read along the sorted pairs of the A range and along the D range.  Only
+    the a! orders of A are searched; the other roles have closed forms:
+
+    - B takes its colours in the order they first appear in psi, read along
+      the sorted A pairs; psi is onto B, so each A order fixes the B order;
+    - C puts its singleton blocks first, then consecutive pairs;
+    - E goes by descending number of gamma preimages (ties give the same
+      encoding);
+    - D goes by ascending gamma value, once the A order is chosen.
+
+    So the key of an A order is psi's values and gamma's sorted values.
     """
-    roles = [sorted(r) for r in (t.A, t.B, t.C, t.D, t.E)]
-    order = [c for r in roles for c in r]
-    ranges = _role_ranges(len(r) for r in roles)
+    problems = validate_type(t)
+    if problems:
+        raise TypeError_("; ".join(problems))
     psi, gamma = t.psi_map, t.gamma_map
-    pairs = list(itertools.permutations(ranges[0], 2))
-    best_key, best_pi = None, None
-    for choice in itertools.product(*map(itertools.permutations, ranges)):
-        images = list(itertools.chain.from_iterable(choice))
-        pi, inv = dict(zip(order, images)), dict(zip(images, order))
-        key = (
-            [pi[psi[inv[i], inv[j]]] for i, j in pairs],
-            sorted(sorted(pi[a] for a in b) for b in t.blocks),
-            [pi[gamma[inv[d]]] for d in ranges[3]],
-        )
-        if best_key is None or key < best_key:
-            best_key, best_pi = key, pi
-    return permute_type(t, best_pi)  # type: ignore[arg-type]
+    preimages = Counter(gamma.values())
+    e_order = sorted(t.E, key=lambda k: -preimages[k])
+    e_label = {k: t.n - len(t.E) + r for r, k in enumerate(e_order)}
+    pairs = list(itertools.permutations(range(len(t.A)), 2))
+    best = None
+    for order in itertools.permutations(sorted(t.A)):
+        seen = [psi[order[i], order[j]] for i, j in pairs]
+        b_order = list(dict.fromkeys(seen))
+        label = {k: len(t.A) + r for r, k in enumerate(b_order)} | e_label
+        key = ([label[v] for v in seen], sorted(label[v] for v in gamma.values()))
+        if best is None or key < best[0]:
+            best = key, order, b_order, label
+    _, order, b_order, label = best
+    singles = sorted(blk[0] for blk in t.blocks if len(blk) == 1)
+    doubles = [k for blk in t.blocks if len(blk) == 2 for k in blk]
+    linked = sorted(t.D, key=lambda k: label[gamma[k]])
+    ranked = [*order, *b_order, *singles, *doubles, *linked, *e_order]
+    return permute_type(t, [ranked.index(c) for c in range(t.n)])
 
 
 def enumerate_types(n: int) -> tuple[DenseType, ...]:
     """All dense types on n colours, one canonical member per relabelling
-    class, sorted by their encodings.  Every class has a member with its
-    roles on consecutive colour ranges, so only the compositions
-    (a, b, c, d, e) of n are walked."""
+    class, sorted by their encodings.
+
+    Every class has a member in canonical_form's closed forms for B, C, D
+    and E, so only those candidates are built, for each composition
+    (a, b, c, d, e) of n with roles on consecutive colour ranges: psi
+    whose values first take the B colours in ascending order, one block
+    layout per number of pairs, and gamma with ascending values.  Only
+    the order of A is left to canonical_form.
+    """
     if n < 2:
         raise TypeError_("need at least two colours")
     found: dict[tuple, DenseType] = {}
     for sizes in itertools.product(range(n + 1), repeat=4):
         if sum(sizes) > n:
             continue
-        ranges = _role_ranges(sizes + (n - sum(sizes),))
-        a, b, c_, d, e = (frozenset(r) for r in ranges)
-        pairs = sorted((i, j) for i in a for j in a if i != j)
-        if not a and (b or d or e):
-            continue
-        if not a and len(c_) % 2 == 1:
-            continue
-        for psi in _maps(pairs, sorted(b), b, 1):
-            for blocks in _block_partitions(tuple(sorted(c_))):
-                if not a and any(len(blk) != 2 for blk in blocks):
-                    continue
-                for gamma in _maps(sorted(d), sorted(b | e), e, 2):
-                    t = DenseType(
-                        n,
-                        a,
-                        b,
-                        c_,
-                        d,
-                        e,
-                        tuple((i, j, v) for (i, j), v in psi.items()),
-                        blocks,
-                        tuple(gamma.items()),
-                    )
-                    if validate_type(t):
-                        continue
-                    rep = canonical_form(t)
-                    found.setdefault(rep.encoding(), rep)
+        A, B, C, D, E = _role_ranges(sizes + (n - sum(sizes),))
+        pairs = list(itertools.permutations(A, 2))
+        psis = [
+            values
+            for values in itertools.product(B, repeat=len(pairs))
+            if tuple(dict.fromkeys(values)) == B
+        ]
+        layouts = [
+            [(k,) for k in C[:s]] + [(k, k + 1) for k in C[s::2]]
+            for s in range(len(C) % 2, len(C) + 1, 2)
+        ]
+        gammas = [
+            values
+            for values in itertools.combinations_with_replacement(B + E, len(D))
+            if all(values.count(k) >= 2 for k in E)
+        ]
+        for values, blocks, linked in itertools.product(psis, layouts, gammas):
+            psi = tuple((i, j, v) for (i, j), v in zip(pairs, values))
+            t = DenseType(n, A, B, C, D, E, psi, blocks, tuple(zip(D, linked)))
+            try:
+                rep = canonical_form(t)
+            except TypeError_:  # e.g. A empty with a singleton block
+                continue
+            found.setdefault(rep.encoding(), rep)
     return tuple(found[k] for k in sorted(found))
 
 
@@ -306,7 +301,8 @@ def partition_from_type(t: DenseType) -> tuple[ConcreteAlphabet, PartitionTable]
     m = alph.m
     free_count = len(t.A) if t.A else 1
     non_free = [alph.sigma[i] for i in range(free_count, m)]
-    assert len(set(non_free)) == len(non_free)
+    if len(set(non_free)) != len(non_free):
+        raise TypeError_("internal invariant failed: sigma is not injective")
     psi = t.psi_map
     values = []
     for i in range(m):
@@ -338,8 +334,7 @@ def _colour_of(
         return psi[(alph.sigma[i], alph.sigma[j])]
     if not i_star and (j_star or alph.sigma[i] < alph.sigma[j]):
         return alph.sigma[i]
-    if not j_star and (i_star or alph.sigma[i] > alph.sigma[j]):
-        tau = alph.tau[j]
-        assert tau is not None
+    tau = alph.tau[j]
+    if not j_star and tau is not None and (i_star or alph.sigma[i] > alph.sigma[j]):
         return tau
-    raise AssertionError("colouring cases are not total")
+    raise TypeError_("internal invariant failed: colouring cases are not total")

@@ -214,10 +214,9 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
         tuple(g.color(*pair) for pair in row) for row in apply_reduction(reduction)
     )
     table = PartitionTable(len(e), values)
-    colors = table.colors
-    assert len(colors) == n0
-    assert check_reduces(table, g, reduction)
-    return RestrictionResult(table, reduction, colors)
+    if len(table.colors) != n0 or not check_reduces(table, g, reduction):
+        raise ReductionError("internal invariant failed: restriction is not verified")
+    return RestrictionResult(table, reduction, table.colors)
 
 
 # -- induced tree maps ---------------------------------------------------------

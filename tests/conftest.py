@@ -23,6 +23,7 @@ from madic import (
     StabilizationReport,
     Word,
     incidence,
+    validate_type,
 )
 
 
@@ -170,6 +171,99 @@ def canonical_oracle(t: DenseType) -> DenseType:
     )
     _, a, b, c, d, e, psi, blocks, gamma = relabelled_encoding(t, pi)
     return DenseType(t.n, *map(frozenset, (a, b, c, d, e)), psi, blocks, gamma)
+
+
+def compositions(n: int) -> list[tuple[int, ...]]:
+    """Role sizes (a, b, c, d, e) that sum to n."""
+    return [s for s in itertools.product(range(n + 1), repeat=5) if sum(s) == n]
+
+
+def _block_layouts(items: tuple[int, ...]):
+    """Every partition of items into blocks of one or two."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for tail in _block_layouts(rest):
+        yield ((first,),) + tail
+    for k, other in enumerate(rest):
+        for tail in _block_layouts(rest[:k] + rest[k + 1 :]):
+            yield ((first, other),) + tail
+
+
+def range_types(sizes: tuple[int, ...]) -> list[DenseType]:
+    """Every valid dense type whose roles have the given sizes on
+    consecutive colour ranges, A first: all maps psi and gamma and all
+    block layouts, kept when validate_type finds nothing wrong."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    A, B, C, D, E = (tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    pairs = [(i, j) for i in A for j in A if i != j]
+    out = []
+    for psi_values in itertools.product(B, repeat=len(pairs)):
+        psi = tuple((i, j, v) for (i, j), v in zip(pairs, psi_values))
+        for blocks in _block_layouts(C):
+            for gamma_values in itertools.product(B + E, repeat=len(D)):
+                gamma = tuple(zip(D, gamma_values))
+                t = DenseType(sum(sizes), A, B, C, D, E, psi, blocks, gamma)
+                if not validate_type(t):
+                    out.append(t)
+    return out
+
+
+def _partitions(k: int, most: int | None = None):
+    """Partitions of k into non-increasing parts of at most the given size."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, most or k), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+def _cycle_types(k: int) -> list[tuple[list[int], int]]:
+    """One permutation of range(k) per cycle type, with the size of its
+    conjugacy class in S_k."""
+    out = []
+    for parts in _partitions(k):
+        perm, start = [], 0
+        for p in parts:
+            perm += list(range(start + 1, start + p)) + [start]
+            start += p
+        centraliser = 1
+        for p in set(parts):
+            centraliser *= p ** parts.count(p) * math.factorial(parts.count(p))
+        out.append((perm, math.factorial(k) // centraliser))
+    return out
+
+
+def burnside_count(n: int) -> int:
+    """Number of dense types on n colours up to relabelling, by Burnside's
+    lemma and without any canonical form.
+
+    Two types with roles on the same consecutive ranges are relabellings of
+    each other exactly when a permutation inside the ranges maps one to the
+    other.  So the count is a sum over the compositions (a, b, c, d, e) of
+    n of the orbits of range_types under S_a x S_b x S_c x S_d x S_e: the
+    number of types each group element fixes, averaged over the group, with
+    one element per cycle type weighted by its class size.
+    """
+    total = 0
+    for sizes in compositions(n):
+        types = range_types(sizes)
+        encodings = [relabelled_encoding(t, range(n)) for t in types]
+        fixed = 0
+        for choice in itertools.product(*map(_cycle_types, sizes)):
+            pi, weight = [], 1
+            for perm, size in choice:
+                pi += [len(pi) + k for k in perm]
+                weight *= size
+            fixed += weight * sum(
+                relabelled_encoding(t, pi) == enc for t, enc in zip(types, encodings)
+            )
+        order = math.prod(map(math.factorial, sizes))
+        assert fixed % order == 0, (sizes, fixed, order)
+        total += fixed // order
+    return total
 
 
 def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):

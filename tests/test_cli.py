@@ -420,6 +420,18 @@ class TestReduce:
             assert run(capsys, *argv)[:2] == (0, expected + "\n")
         assert all(cases.values()), cases
 
+    def test_construct_check_survives_python_o(self, write):
+        # python -O strips assert statements; the reduction check must stay.
+        g = write("g.json", {"m": 2, "n": 3, "values": [[0, 2], [2, 1]]})
+        code = (
+            "import sys, madic.reductions as r; r.check_reduces = lambda *a: False; "
+            "from madic.cli import main; "
+            "sys.exit(main(['reduce', '--construct', '2', '--g', sys.argv[1]]))"
+        )
+        status, out, err = run_python("-O", "-c", code, g)
+        assert (status, out) == (3, "")
+        assert "internal invariant failed" in err
+
     def test_construct_target_out_of_range(self, capsys, write):
         code, _, err = run(
             capsys, "reduce", "--construct", "2", "--g", write("g.json", P20_DOC)

@@ -35,10 +35,13 @@ from madic.spaces import PartitionTable, classify_subspaces
 from madic.words import Branch, Word, incidence, is_prefix, meet
 
 from conftest import (
+    burnside_count,
     canonical_oracle,
+    compositions,
     random_branch,
     random_table,
     random_word,
+    range_types,
     search_oracle,
 )
 
@@ -46,10 +49,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @st.composite
-def valid_types(draw, max_n=5):
+def valid_types(draw, max_n=6):
     """A valid dense type on at most max_n colours, in general not the least
-    relabelling: roles on scattered colours, arbitrary block pairings,
-    unsorted psi and gamma values, and E colours hit more than twice."""
+    relabelling: roles on scattered colours, arbitrary block pairings, B
+    colours first appearing in psi out of order, unsorted gamma values, and
+    E colours hit more than twice.  Two E colours hit unequally often need
+    eight colours; test_linked_colours_by_descending_preimages has them."""
     n = draw(st.integers(2, max_n))
     colours = draw(st.permutations(range(n)))
     # With A empty every colour lies in a paired block; psi on two or more
@@ -72,6 +77,7 @@ def valid_types(draw, max_n=5):
             blocks.append((items.pop(), items.pop(0)))
         else:
             blocks.append((items.pop(),))
+    # Each E colour takes two preimages, then the rest fall anywhere.
     targets = list(B) + list(E)
     gamma = [
         (dd, E[k // 2] if k < 2 * len(E) else draw(st.sampled_from(targets)))
@@ -173,10 +179,10 @@ class TestValidateType:
 
 
 class TestEnumerateTypes:
-    def test_counts_small(self):
-        assert len(enumerate_types(2)) == 2
-        assert len(enumerate_types(3)) == 3
-        assert len(enumerate_types(4)) == 8
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 3), (4, 8), (5, 23), (6, 184)])
+    def test_counts_match_burnside(self, n, count):
+        assert burnside_count(n) == count
+        assert len(enumerate_types(n)) == count
 
     def test_rejects_degenerate_counts(self):
         with pytest.raises(TypeError_):
@@ -245,10 +251,49 @@ class TestCanonicalFormOracle:
         types = enumerate_types(6)
         assert len(types) == 184
         assert len({t.encoding() for t in types}) == 184
+        rng = random.Random(6)
         for t in types:
             assert canonical_oracle(t) == t
+            for _ in range(4):
+                pi = rng.sample(range(6), 6)
+                assert canonical_form(permute_type(t, pi)) == t
         expected = (GOLDEN / "enumerate_n6.txt").read_text()
         assert render_type_table(6, types) == expected
+
+    def test_every_range_type(self):
+        # Each valid type with roles on consecutive ranges, n <= 5: the
+        # candidates of every closed form, least or not.
+        rng = random.Random(11)
+        for n in (2, 3, 4, 5):
+            for sizes in compositions(n):
+                for t in range_types(sizes):
+                    self.check_relabellings(t, rng, 2)
+
+    def test_linked_colours_by_descending_preimages(self):
+        # E colour 7 has three gamma preimages and 6 has two, so 7 becomes 6.
+        t = dt(8, a=(0,), d=(1, 2, 3, 4, 5), e=(6, 7),
+               gamma=((1, 7), (2, 7), (3, 6), (4, 6), (5, 7)))
+        want = dt(8, a=(0,), d=(1, 2, 3, 4, 5), e=(6, 7),
+                  gamma=((1, 6), (2, 6), (3, 6), (4, 7), (5, 7)))
+        rng = random.Random(8)
+        for _ in range(5):
+            pi = list(range(8))
+            rng.shuffle(pi)
+            assert canonical_form(permute_type(t, pi)) == want
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            dt(3, a=(0, 1), b=(2,), psi=((0, 1, 2),)),
+            dt(4, a=(0,), c=(2,), d=(1,), e=(3,), blocks=((2,),), gamma=((1, 3),)),
+            dt(2, c=(0, 1), blocks=((0,), (1,))),
+            dt(3, a=(0, 1), b=(2,), psi=((0, 1, 2), (1, 0, 0))),
+        ],
+        ids=["psi-missing-pair", "e-one-preimage", "single-blocks", "psi-outside-b"],
+    )
+    def test_invalid_type_raises(self, t):
+        with pytest.raises(TypeError_):
+            canonical_form(t)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ a demo, or by other library code.  A public module-level function of any
 madic module and a public method defined in a class body must each be used
 by library code, by a demo, or by the benchmark in perfbench/.  Imports and
 definitions do not count as uses; only loaded names and attribute lookups
-do.
+do.  The library holds no assert statement, which python -O would strip.
 """
 
 import ast
@@ -62,3 +62,13 @@ def test_every_public_function_and_method_has_a_caller():
     assert "codec.table_from_json" in defined
     assert "patterns.CombGenerator.tooth" in defined
     assert sorted(q for q in defined if q.rsplit(".", 1)[1] not in USED) == []
+
+
+def test_library_checks_survive_python_o():
+    for path in MODULES + [SRC / "__init__.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None)
+                assert name != "AssertionError", f"{path.name}:{node.lineno}"
