@@ -14,6 +14,7 @@ exact and finite.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -356,10 +357,11 @@ def _default_horizon(gen: CombGenerator, tests: Sequence[TestPoint]) -> int:
 
 def _tooth_depths(gen: CombGenerator, count: int, deepest: int) -> list[int]:
     """Depths up to deepest among the first count teeth: the generator's own
-    depths, then the later places where its branch reads i."""
+    depths, then the later places where its branch reads i.  At most
+    deepest + 1 depths qualify, which bounds the count for any horizon."""
     x = gen.branch
     later = (d for d in range(gen.depths[-1] + 1, deepest + 1) if x.letter(d) == gen.i)
-    teeth = itertools.islice(itertools.chain(gen.depths, later), count)
+    teeth = itertools.islice(itertools.chain(gen.depths, later), min(count, deepest + 1))
     return [d for d in teeth if d <= deepest]
 
 
@@ -371,14 +373,30 @@ def verify_convergence(
 ) -> list[StabilizationReport]:
     """Certify, test by test, that tooth values stabilise on the limit.
 
-    Teeth 0..horizon count, but only those no deeper than a test's decision
-    depth can differ from the limit there: len(w) for a node test at w, the
-    meet with the comb's branch for a class test, and none for a class test
-    over that branch.  Only those teeth are built, so k0 is exact whatever
-    the horizon.  With horizon omitted a sufficient one is derived from the
-    branch and the tests, so a valid generator never reports instability;
-    an explicit horizon is honoured as given and may be too short to see
-    stabilisation.
+    Teeth 0..horizon count; the tooth at depth d follows the comb's branch x
+    to d and then moves j (for i == j it stops at d).  Each test has a
+    decision depth D: len(w) for a node test at w, the length of the meet of
+    x and y for a class test over y != x, and -1 for a class test over x.
+    Teeth deeper than D take the limit's value at the test.  Teeth at depths
+    d < D - 1 have at most d + 1 < D letters, and they share one value:
+
+    * node test at w: the tooth is shorter than w, so w is not its prefix
+      (partition) and not equal to it (scattered); the value is 0;
+    * class test over y: x and y agree below D, so y reads i at d.  With
+      i == j the tooth is a proper prefix of y whose next letter is i: the
+      incidence is (i, i) (partition), and the value is whether i lies in
+      the tested set (scattered).  With i != j the tooth leaves y at d by j:
+      the incidence is (i, j) (partition), and the tooth is no prefix of y,
+      so the value is 0 (scattered).
+
+    So the deepest of those teeth, with the teeth at D - 1 and D, decides
+    k0, the index after the last tooth that disagrees with the limit.  Each
+    test reads at most these three teeth, found by bisection in one list of
+    depths; a tooth is built at most once per certificate.  The cost is
+    linear in the decision depths, and k0 is exact whatever the horizon.
+    With horizon omitted a sufficient one is derived from the branch and
+    the tests, so a valid generator never reports instability; an explicit
+    horizon is honoured as given and may be too short to see stabilisation.
     """
     if horizon is None:
         horizon = _default_horizon(gen, tests)
@@ -390,7 +408,7 @@ def verify_convergence(
     if i not in x.period and gen.size() + later <= horizon:
         raise GeneratorExhaustedError(f"letter {i} recurs only finitely often on {x!r}")
     limit = space.comb_limit(gen)
-    reports = []
+    decided = []
     for test in tests:
         lim_val = space.value(limit, test)
         if isinstance(test, NodeTest):
@@ -398,9 +416,18 @@ def verify_convergence(
         else:
             _check_class(test.cls, space.n)  # even if no tooth is evaluated
             decision = -1 if test.branch == x else len(meet(x, test.branch))
+        decided.append((test, lim_val, decision))
+    depths = _tooth_depths(gen, horizon + 1, max((d for *_, d in decided), default=-1))
+    teeth: dict[int, NodePoint] = {}
+    reports = []
+    for test, lim_val, decision in decided:
         k0 = 0
-        for k, d in enumerate(_tooth_depths(gen, horizon + 1, decision)):
-            if space.value(NodePoint(gen.tooth(d)), test) != lim_val:
+        below = bisect.bisect_left(depths, decision - 1)
+        for k in range(max(below - 1, 0), bisect.bisect_right(depths, decision)):
+            d = depths[k]
+            if d not in teeth:
+                teeth[d] = NodePoint(gen.tooth(d))
+            if space.value(teeth[d], test) != lim_val:
                 k0 = k + 1
         if k0 > horizon:
             reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))

@@ -104,11 +104,16 @@ class Branch:
         _check_letters(stem, self.m)
         _check_letters(period, self.m)
         period = _primitive_period(period)
-        # Roll trailing stem letters into the (rotated) period: s.(p)^w with
-        # s ending in p's last letter equals a shorter-stem description.
-        while stem and stem[-1] == period[-1]:
-            stem = stem[:-1]
-            period = (period[-1],) + period[:-1]
+        # Roll trailing stem letters into the period: s.(p)^w with s ending
+        # in p's last letter equals s minus that letter, then p rotated right
+        # by one.  Count the letters that roll in one backward pass, then cut
+        # the stem and rotate the period once.
+        n, p = len(stem), len(period)
+        r = 0
+        while r < n and stem[n - 1 - r] == period[p - 1 - r % p]:
+            r += 1
+        stem = stem[: n - r]
+        period = period[p - r % p :] + period[: p - r % p]
         object.__setattr__(self, "stem", stem)
         object.__setattr__(self, "period", period)
 
@@ -173,12 +178,15 @@ def _common(a: Element, b: Element) -> int | None:
     elif isinstance(b, Word):
         n = len(b.letters)
     else:
-        # Normal forms are unique, and by Fine and Wilf (1965) words of periods
-        # p and q that agree on p + q - gcd(p, q) letters agree forever.
-        if a == b:
-            return None
+        # By Fine and Wilf (1965), branches of periods p and q that agree on
+        # max(stems) + p + q - gcd(p, q) letters agree forever.  So distinct
+        # branches differ within that bound; scan only to the first difference.
         p, q = len(a.period), len(b.period)
         n = max(len(a.stem), len(b.stem)) + p + q - math.gcd(p, q)
+        k = 0
+        while k < n and a.letter(k) == b.letter(k):
+            k += 1
+        return None if k == n else k
     xs, ys = a.head(n), b.head(n)
     for i in range(n):
         if xs[i] != ys[i]:

@@ -7,6 +7,7 @@ agreement with the fast implementations is evidence, not circularity.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -35,6 +36,24 @@ def expand(x: Branch, n: int) -> tuple[int, ...]:
             break
         letters.append(a)
     return tuple(letters[:n])
+
+
+def normal_form_oracle(stem, period) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Branch normal form by rolling: the shortest repeating block of the
+    period, then trailing stem letters rolled into it one at a time, each
+    roll rotating the period right by one.  A list and a deque keep each
+    roll constant time."""
+    n = len(period)
+    d = next(
+        d
+        for d in range(1, n + 1)
+        if n % d == 0 and all(period[k] == period[k % d] for k in range(n))
+    )
+    stem, period = list(stem), collections.deque(period[:d])
+    while stem and stem[-1] == period[-1]:
+        stem.pop()
+        period.rotate(1)
+    return tuple(stem), tuple(period)
 
 
 def meet_oracle(a, b, horizon: int = 64) -> tuple[int, ...]:

@@ -409,6 +409,62 @@ class TestClosedFormConvergence:
         assert [r.k0 for r in short] == [r.k0 for r in reports]
         assert max(r.k0 for r in reports) > 0
 
+    def test_deep_meets_match_tooth_scan(self):
+        # Class tests share 500-1,500 letters with the comb's branch, so the
+        # teeth that decide k0 lie deep; explicit horizons stop short of
+        # them, reach just to them, or pass them, and keep the scan cheap.
+        rng = random.Random(1500)
+        seen = set()
+        for case in range(16):
+            m = rng.randint(2, 3)
+            x = random_branch(rng, m, 3, 6)
+            i = rng.choice(x.period)
+            gen = CombGenerator.over(x, i, rng.randrange(m), rng.randint(1, 3))
+            if case % 2:
+                space = PartitionSpace(random_table(rng, m, rng.randint(1, 3)))
+            else:
+                space = ScatteredSpace(random_family(rng, m))
+            meets = [rng.randint(500, 1500) for _ in range(4)]
+            tests = [NodeTest(x.prefix(meets[0]))]
+            for k in meets[1:]:
+                turn = (x.letter(k) + rng.randrange(1, m)) % m
+                period = tuple(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+                y = Branch(m, x.head(k) + (turn,), period)
+                tests.append(ClassTest(y, rng.randrange(space.n)))
+            # The number of teeth no deeper than the deepest decision depth.
+            reach = sum(1 for d in range(max(meets) + 1) if x.letter(d) == i)
+            horizon = rng.choice([rng.randint(1, 30), reach - rng.randint(0, 40), reach])
+            got = verify_convergence(gen, space, tests, horizon)
+            assert got == convergence_oracle(gen, space, tests, horizon)
+            for r in got:
+                seen.add("unstable" if r.k0 is None else "deep" if r.k0 > 100 else "shallow")
+        assert seen == {"unstable", "deep", "shallow"}
+
+    @pytest.mark.parametrize("scattered", [False, True])
+    def test_period_8000_reads_at_most_three_teeth_per_test(self, monkeypatch, scattered):
+        # Class tests meet a period-8,000 comb at depth 7,990; the
+        # tooth-by-tooth scan built about 2,600 teeth per test here.
+        rng = random.Random(8000)
+        x = Branch(3, (), tuple(rng.randrange(3) for _ in range(8000)))
+        turn = (x.letter(7990) + 1) % 3
+        y = Branch(3, x.head(7990) + (turn,), (0, 1, 2, 2))
+        i = x.letter(0)
+        if scattered:
+            family = (frozenset({i}), frozenset({(i + 1) % 3}))
+            space = ScatteredSpace(DisjointFamily(3, family))
+            gen = CombGenerator.over(x, i, i, 2)
+        else:
+            space = PartitionSpace(PartitionTable.dense(3, 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1))))
+            gen = CombGenerator.over(x, i, (i + 1) % 3, 2)
+        tests = [ClassTest(y, c) for c in range(space.n)]
+        calls = []
+        tooth = CombGenerator.tooth
+        monkeypatch.setattr(CombGenerator, "tooth", lambda g, d: calls.append(d) or tooth(g, d))
+        reports = verify_convergence(gen, space, tests)
+        assert len(calls) <= 3 * len(tests)
+        assert all(r.stable for r in reports)
+        assert max(r.k0 for r in reports) > 2000
+
     def test_class_index_checked_without_teeth(self):
         # On its own branch the comb needs no tooth, and the scattered
         # infinity limit reads 0 anywhere, yet the class must still exist.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,14 @@ from madic import (
     well_order_cmp,
     well_order_key,
 )
-from conftest import expand, meet_oracle, numeral, random_branch, random_word
+from conftest import (
+    expand,
+    meet_oracle,
+    normal_form_oracle,
+    numeral,
+    random_branch,
+    random_word,
+)
 
 W = lambda *letters: Word(3, letters)
 W2 = lambda *letters: Word(2, letters)
@@ -64,6 +72,41 @@ def test_branch_unrolling_preserves_letters():
         assert x == unrolled
         assert expand(x, 24) == expand(unrolled, 24)
         assert [x.letter(i) for i in range(24)] == list(expand(x, 24))
+
+
+def _rolled_stem(rng: random.Random, m: int, period: tuple[int, ...], reps: int):
+    """A random head, then reps copies of a rotation of the period, then the
+    partial copy that the period continues: all but the head rolls in."""
+    t = rng.randrange(len(period))
+    block = period[len(period) - t :] + period[: len(period) - t]
+    head = tuple(rng.randrange(m) for _ in range(rng.randint(0, 3)))
+    return head + block * reps + block[:t]
+
+
+def test_branch_normal_form_matches_rolling_oracle():
+    rng = random.Random(11)
+    for _ in range(400):
+        m = rng.randint(2, 3)
+        base = tuple(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+        period = base * rng.randint(1, 3)
+        stem = _rolled_stem(rng, m, period, rng.randint(0, 4))
+        if rng.random() < 0.3:
+            stem += tuple(rng.randrange(m) for _ in range(rng.randint(1, 3)))
+        x = Branch(m, stem, period)
+        assert (x.stem, x.period) == normal_form_oracle(stem, period), (stem, period)
+
+
+def test_long_rolled_stem_matches_rolling_oracle():
+    # The stem rolls into the period letter by letter for 200,000 letters;
+    # normalising must not copy the stem once per letter.
+    rng = random.Random(12)
+    stem = _rolled_stem(rng, 3, (0, 1, 2, 1, 0), 40_000)
+    assert len(stem) >= 200_000
+    start = time.perf_counter()
+    x = Branch(3, stem, (0, 1, 2, 1, 0))
+    assert time.perf_counter() - start < 5.0  # about a minute when quadratic
+    assert (x.stem, x.period) == normal_form_oracle(stem, (0, 1, 2, 1, 0))
+    assert len(x.stem) <= 3
 
 
 # -- meet ------------------------------------------------------------------------
@@ -194,6 +237,17 @@ def test_meet_long_coprime_periods_matches_scan(seed):
         assert prefix_cmp(x, y) is PrefixRelation.INCOMPARABLE
         d = len(expected)
         assert incidence(x, y) == (x.letter(d), y.letter(d))
+
+
+def test_meet_of_branches_differing_at_letter_10000():
+    rng = random.Random(10_000)
+    x = Branch(3, (), tuple(rng.randrange(3) for _ in range(97)))
+    turn = (x.letter(10_000) + 1) % 3
+    y = Branch(3, x.head(10_000) + (turn,), (1, 2))
+    expected = meet_oracle(x, y, 10_010)
+    assert len(expected) == 10_000
+    assert meet(x, y).letters == meet(y, x).letters == expected
+    assert incidence(x, y) == (x.letter(10_000), turn)
 
 
 def test_branch_equality_detected_within_horizon():
