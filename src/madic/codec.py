@@ -159,9 +159,8 @@ def test_from_json(doc: Any, m: int) -> TestPoint:
     if kind == "node":
         return NodeTest(word_from_json(doc, m))
     if kind == "class":
-        return ClassTest(
-            branch_from_json(_require(doc, "branch"), m), _require(doc, "class")
-        )
+        branch = branch_from_json(_require(doc, "branch"), m)
+        return ClassTest(branch, _int(_require(doc, "class"), "class"))
     raise CodecError(f"unknown test kind {kind!r}")
 
 

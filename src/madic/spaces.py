@@ -21,9 +21,11 @@ from typing import Optional, Sequence, Union
 
 from .patterns import CombGenerator, GeneratorExhaustedError
 from .words import (
+    AlphabetError,
     Branch,
     PrefixRelation,
     Word,
+    _common,
     branch_meet_horizon,
     incidence,
     is_prefix,
@@ -218,7 +220,7 @@ def scattered_value(
         return 0
     if isinstance(point, NodePoint):
         if isinstance(test, NodeTest):
-            return 1 if test.word == point.word else 0
+            return 1 if prefix_cmp(test.word, point.word) is PrefixRelation.EQUAL else 0
         _check_class(test.cls, family.n)
         if not is_prefix(point.word, test.branch):
             return 0
@@ -260,6 +262,15 @@ class PartitionSpace:
     def check_point(self, point: SymbolicPoint) -> None:
         """Raise SpaceError unless the point belongs to the space."""
         _check_partition_point(point, self.n)
+
+    # Values read off letters (verify_convergence states the rules): at a
+    # node test that is a prefix of the point, or equal to it; at a class
+    # test whose branch meets the point with incidence pair (a, b).
+    def _node_value(self, prefix: bool, equal: bool) -> int:
+        return 1 if prefix else 0
+
+    def _pair_value(self, a: int, b: int, cls: int) -> int:
+        return 1 if self.table.class_index(a, b) == cls else 0
 
     def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
         """The finite certificate of isolation: value 1 at the node and 0 at
@@ -307,6 +318,13 @@ class ScatteredSpace:
         if isinstance(point, LimitPoint):
             _check_class(point.cls, self.n)
 
+    # PartitionSpace's letter rules, for single-node indicators.
+    def _node_value(self, prefix: bool, equal: bool) -> int:
+        return 1 if equal else 0
+
+    def _pair_value(self, a: int, b: int, cls: int) -> int:
+        return 1 if a == b and a in self.family.classes[cls] else 0
+
     def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
         """Node points are single-node indicators, so the test at the node
         alone certifies isolation; the infinity point reads 0 there."""
@@ -314,15 +332,15 @@ class ScatteredSpace:
 
 
 # Both spaces answer the same rules -- m, n, separation_arity, value,
-# comb_limit, check_point and is_node_point_at -- so callers never ask which
-# kind of space they hold.
+# comb_limit, check_point and is_node_point_at, and privately _node_value and
+# _pair_value -- so callers never ask which kind of space they hold.
 Space = Union[PartitionSpace, ScatteredSpace]
 
 
 # -- convergence certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilizationReport:
     """Where a comb's tooth values settle onto the limit value at one test.
 
@@ -342,29 +360,6 @@ class StabilizationReport:
         return self.k0 is not None
 
 
-def _default_horizon(gen: CombGenerator, tests: Sequence[TestPoint]) -> int:
-    """Horizon reported when none is given.  No scan runs up to it; it
-    exceeds the count of teeth no deeper than any test's decision depth."""
-    x = gen.branch
-    depth_bound = 2 * (len(x.stem) + len(x.period)) + 2
-    for t in tests:
-        if isinstance(t, NodeTest):
-            depth_bound = max(depth_bound, len(t.word) + 2)
-        else:
-            depth_bound = max(depth_bound, branch_meet_horizon(x, t.branch) + 2)
-    return depth_bound
-
-
-def _tooth_depths(gen: CombGenerator, count: int, deepest: int) -> list[int]:
-    """Depths up to deepest among the first count teeth: the generator's own
-    depths, then the later places where its branch reads i.  At most
-    deepest + 1 depths qualify, which bounds the count for any horizon."""
-    x = gen.branch
-    later = (d for d in range(gen.depths[-1] + 1, deepest + 1) if x.letter(d) == gen.i)
-    teeth = itertools.islice(itertools.chain(gen.depths, later), min(count, deepest + 1))
-    return [d for d in teeth if d <= deepest]
-
-
 def verify_convergence(
     gen: CombGenerator,
     space: Space,
@@ -377,58 +372,111 @@ def verify_convergence(
     to d and then moves j (for i == j it stops at d).  Each test has a
     decision depth D: len(w) for a node test at w, the length of the meet of
     x and y for a class test over y != x, and -1 for a class test over x.
-    Teeth deeper than D take the limit's value at the test.  Teeth at depths
-    d < D - 1 have at most d + 1 < D letters, and they share one value:
 
-    * node test at w: the tooth is shorter than w, so w is not its prefix
-      (partition) and not equal to it (scattered); the value is 0;
-    * class test over y: x and y agree below D, so y reads i at d.  With
-      i == j the tooth is a proper prefix of y whose next letter is i: the
-      incidence is (i, i) (partition), and the value is whether i lies in
-      the tested set (scattered).  With i != j the tooth leaves y at d by j:
-      the incidence is (i, j) (partition), and the tooth is no prefix of y,
-      so the value is 0 (scattered).
+    Every value is read off letters.  At a node test at w a partition point
+    reads whether w is its prefix, a scattered point whether it is w.  At a
+    class test over y, of class c, a point that y meets with incidence pair
+    (a, b) reads, in a partition space, whether (a, b) lies in class c; in a
+    scattered space, whether a == b (y passes through the point) and a lies
+    in set c.  Write x_D, y_D and y_E for x[D], y[D] and y[D + 1].
 
-    So the deepest of those teeth, with the teeth at D - 1 and D, decides
-    k0, the index after the last tooth that disagrees with the limit.  Each
-    test reads at most these three teeth, found by bisection in one list of
-    depths; a tooth is built at most once per certificate.  The cost is
-    linear in the decision depths, and k0 is exact whatever the horizon.
-    With horizon omitted a sufficient one is derived from the branch and
-    the tests, so a valid generator never reports instability; an explicit
-    horizon is honoured as given and may be too short to see stabilisation.
+    * Node test at w.  The limit reads w <= x ("on": w is x[:D]) in a
+      partition space and 0 in a scattered one.  A tooth deeper than D
+      starts with x[:D] and is longer than w, so it reads as the limit.  w
+      is a prefix of the tooth at D iff on, and equals it iff on and
+      i == j (for i != j the tooth is one letter longer).  The tooth at
+      D - 1 has at most D letters, so w is its prefix iff w equals it:
+      iff i != j and w is x[:D - 1] followed by j.  Teeth at d < D - 1
+      have at most d + 1 < D letters and read 0.
+    * Class test over x.  Every tooth meets x with pair (i, j), and so does
+      the limit: LimitPoint(x, class of (i, j)) in a partition space; in a
+      scattered space LimitPoint(x, set of i) when i == j and i lies in a
+      set, else the infinity point, which reads 0 as the pair (i, j) does.
+      So every tooth agrees with the limit, and k0 = 0.
+    * Class test over y != x.  The limit meets y with pair (y_D, x_D), and
+      so does every tooth deeper than D, which contains x[:D + 1].  At
+      d < D, y reads x's letter i, so the tooth meets y with pair (i, j):
+      for i == j it is a proper prefix of y, for i != j it leaves y by j.
+      The tooth at D exists only where x_D = i, so y_D != i.  For i == j it
+      is x[:D], with pair (y_D, y_D).  For i != j it is x[:D] followed by
+      j: if j == y_D it is a prefix of y, with pair (y_E, y_E), and
+      otherwise it leaves y with pair (y_D, j).
+
+    So all teeth shallower than D - 1 share one value, and that value with
+    the teeth at D - 1 and D decides k0, the index after the last tooth
+    that disagrees with the limit.  They are located by bisection in one
+    list of tooth depths, and no tooth is built.  The cost is linear in the
+    decision depths, and k0 is exact whatever the horizon.  With horizon
+    omitted a sufficient one is derived in the same pass over the tests,
+    so a valid generator never reports instability; an explicit horizon is
+    honoured as given and may be too short to see stabilisation.
     """
-    if horizon is None:
-        horizon = _default_horizon(gen, tests)
-    if horizon < 1:
+    x, i, j = gen.branch, gen.i, gen.j
+    if horizon is not None and horizon < 1:
         raise SpaceError("horizon must be at least 1")
-    x, i = gen.branch, gen.i
-    # Past the stem a letter absent from the period never recurs.
+    # Past the stem a letter absent from the period never recurs, so at most
+    # len(x.stem) teeth exist; the derived horizon asks for more.
     later = x.stem[gen.depths[-1] + 1 :].count(i)
-    if i not in x.period and gen.size() + later <= horizon:
+    if i not in x.period and (horizon is None or gen.size() + later <= horizon):
         raise GeneratorExhaustedError(f"letter {i} recurs only finitely often on {x!r}")
-    limit = space.comb_limit(gen)
+    # The derived horizon exceeds the number of teeth no deeper than any
+    # decision depth: it is at least deepest + 2, and branch_meet_horizon
+    # + 2 for each class test over y != x (its meet is shorter than that).
+    n, bound, deepest = space.n, 2 * (len(x.stem) + len(x.period)) + 2, -1
+    meets = {x: -1}  # decision depths of class tests, by branch
     decided = []
     for test in tests:
-        lim_val = space.value(limit, test)
         if isinstance(test, NodeTest):
-            decision = len(test.word)
+            if test.word.m != x.m:
+                raise AlphabetError(f"alphabet mismatch: {test.word.m} vs {x.m}")
+            decision = len(test.word.letters)
         else:
-            _check_class(test.cls, space.n)  # even if no tooth is evaluated
-            decision = -1 if test.branch == x else len(meet(x, test.branch))
-        decided.append((test, lim_val, decision))
-    depths = _tooth_depths(gen, horizon + 1, max((d for *_, d in decided), default=-1))
-    teeth: dict[int, NodePoint] = {}
+            _check_class(test.cls, n)  # even if no tooth is read
+            decision = meets.get(test.branch)
+            if decision is None:
+                decision = meets[test.branch] = _common(x, test.branch)
+                if horizon is None:
+                    bound = max(bound, branch_meet_horizon(x, test.branch) + 2)
+        deepest = max(deepest, decision)
+        decided.append((test, decision))
+    if horizon is None:
+        horizon = max(bound, deepest + 2)
+    xs = x.head(deepest + 1)
+    # The first horizon + 1 tooth depths no deeper than any decision depth:
+    # the generator's own, then the later places where x reads i.
+    depths = [d for d in gen.depths if d <= deepest]
+    depths += [d for d in range(gen.depths[-1] + 1, deepest + 1) if xs[d] == i]
+    depths = depths[: horizon + 1]
+    node_value, pair_value = space._node_value, space._pair_value
     reports = []
-    for test, lim_val, decision in decided:
-        k0 = 0
-        below = bisect.bisect_left(depths, decision - 1)
-        for k in range(max(below - 1, 0), bisect.bisect_right(depths, decision)):
-            d = depths[k]
-            if d not in teeth:
-                teeth[d] = NodePoint(gen.tooth(d))
-            if space.value(teeth[d], test) != lim_val:
-                k0 = k + 1
+    for test, D in decided:
+        if isinstance(test, NodeTest):
+            w = test.word.letters
+            on = w == xs[:D]
+            hit = i != j and D > 0 and w[-1] == j and w[:-1] == xs[: D - 1]
+            lim_val = node_value(on, False)
+            below, at_prev, at_d = 0, node_value(hit, hit), node_value(on, on and i == j)
+        elif D < 0:
+            lim_val = below = at_prev = at_d = pair_value(i, j, test.cls)
+        else:
+            c, y_d = test.cls, test.branch.letter(D)
+            lim_val = pair_value(y_d, xs[D], c)
+            below = at_prev = pair_value(i, j, c)
+            if i == j:
+                at_d = pair_value(y_d, y_d, c)
+            elif j == y_d:
+                y_e = test.branch.letter(D + 1)
+                at_d = pair_value(y_e, y_e, c)
+            else:
+                at_d = pair_value(y_d, j, c)
+        k = bisect.bisect_left(depths, D - 1)
+        k0 = k if k and below != lim_val else 0
+        if k < len(depths) and depths[k] == D - 1:
+            k += 1
+            if at_prev != lim_val:
+                k0 = k
+        if k < len(depths) and depths[k] == D and at_d != lim_val:
+            k0 = k + 1
         if k0 > horizon:
             reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))
         else:

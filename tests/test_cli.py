@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,10 +11,14 @@ from pathlib import Path
 import pytest
 
 from madic import codec
-from madic.cli import build_parser, main
+from madic.cli import _default_tests, build_parser, main
 from madic.dense_types import enumerate_types, partition_from_type
+from madic.patterns import GeneratorExhaustedError
 from madic.reductions import check_reduces
-from madic.spaces import PartitionTable
+from madic.spaces import ClassTest, NodeTest, PartitionSpace, PartitionTable, ScatteredSpace
+from madic.words import Branch
+
+from conftest import convergence_oracle, random_branch, random_family, random_table, random_word
 
 P20_DOC = {"m": 2, "n": 2, "values": [[0, 1], [0, 0]]}
 P21_DOC = {"m": 2, "n": 2, "values": [[0, 1], [1, 1]]}
@@ -178,6 +183,24 @@ class TestConverge:
         assert doc["reports"][0]["k0"] == 2
         assert doc["reports"][1]["k0"] == 0
 
+    @pytest.mark.parametrize("cls", ["x", True, 1.0])
+    def test_non_integer_test_class_is_validation_error(self, capsys, write, cls):
+        tests = [{"kind": "class", "branch": {"stem": [], "period": [0]}, "class": cls}]
+        code, out, err = run(
+            capsys,
+            "converge",
+            "--space",
+            "partition",
+            "--table",
+            write("t.json", P20_DOC),
+            "--generator",
+            write("g.json", GEN_DOC),
+            "--tests",
+            write("tests.json", tests),
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: class must be an integer\n"
+
     def test_invalid_generator_is_validation_error(self, capsys, write):
         bad = dict(GEN_DOC, i=1)  # the all-zero branch never reads 1
         code, _, err = run(
@@ -276,6 +299,57 @@ class TestConvergeGoldens:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / f"converge_{space}_{horizon}.json").read_text()
+
+
+class TestConvergeFuzz:
+    """Seeded converge requests print the brute-force tooth scan's
+    certificates byte for byte, or exit 3 where it finds too few teeth."""
+
+    def test_stdout_matches_tooth_scan(self, capsys, write):
+        rng = random.Random(500)
+        seen = set()
+        for _ in range(600):
+            m = rng.randint(2, 3)
+            if rng.random() < 0.5:
+                space = PartitionSpace(random_table(rng, m, rng.randint(1, 3)))
+                argv = ["converge", "--space", "partition", "--table"]
+                argv.append(write("s.json", codec.table_to_json(space.table)))
+            else:
+                space = ScatteredSpace(random_family(rng, m))
+                argv = ["converge", "--space", "scattered", "--family"]
+                argv.append(write("s.json", codec.family_to_json(space.family)))
+            x = random_branch(rng, m)
+            i = x.letter(rng.randrange(len(x.stem) + len(x.period)))
+            j = i if rng.random() < 0.5 else rng.randrange(m)
+            gen_doc = {"branch": codec.branch_to_json(x), "i": i, "j": j}
+            gen_doc["count"] = rng.randint(1, 3)
+            argv += ["--generator", write("g.json", gen_doc)]
+            tests = None
+            if rng.random() < 0.6:
+                ys = [x, random_branch(rng, m), Branch(m, x.head(rng.randint(0, 6)), (0, 1))]
+                tests = [NodeTest(random_word(rng, m)), NodeTest(x.prefix(rng.randint(0, 6)))]
+                tests += [ClassTest(y, rng.randrange(space.n)) for y in ys]
+                rng.shuffle(tests)
+                argv += ["--tests", write("t.json", [codec.test_to_json(t) for t in tests])]
+            horizon = None if rng.random() < 0.5 else rng.randint(1, 12)
+            if horizon is not None:
+                argv += ["--horizon", str(horizon)]
+            try:
+                gen = codec.generator_from_json(gen_doc, m)
+                reports = convergence_oracle(
+                    gen, space, tests or _default_tests(space, gen), horizon
+                )
+            except GeneratorExhaustedError:
+                expected = (3, "")
+            else:
+                expected = (0, codec.dumps({
+                    "limit": codec.point_to_json(space.comb_limit(gen)),
+                    "reports": [codec.report_to_json(r) for r in reports],
+                    "all_stable": all(r.stable for r in reports),
+                }))
+            assert run(capsys, *argv)[:2] == expected, argv
+            seen.add((argv[2], tests is None, horizon is None, expected[0]))
+        assert len(seen) == 16
 
 
 class TestSeparate:

@@ -32,7 +32,7 @@ from madic.spaces import (
     split_embedding,
     verify_convergence,
 )
-from madic.words import Branch, Word
+from madic.words import AlphabetError, Branch, Word
 
 from conftest import (
     convergence_oracle,
@@ -443,7 +443,8 @@ class TestClosedFormConvergence:
     @pytest.mark.parametrize("scattered", [False, True])
     def test_period_8000_reads_at_most_three_teeth_per_test(self, monkeypatch, scattered):
         # Class tests meet a period-8,000 comb at depth 7,990; the
-        # tooth-by-tooth scan built about 2,600 teeth per test here.
+        # tooth-by-tooth scan built about 2,600 teeth per test here, and
+        # reading three teeth per test still asked for 9 x 7,990 letters.
         rng = random.Random(8000)
         x = Branch(3, (), tuple(rng.randrange(3) for _ in range(8000)))
         turn = (x.letter(7990) + 1) % 3
@@ -457,11 +458,13 @@ class TestClosedFormConvergence:
             space = PartitionSpace(PartitionTable.dense(3, 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1))))
             gen = CombGenerator.over(x, i, (i + 1) % 3, 2)
         tests = [ClassTest(y, c) for c in range(space.n)]
-        calls = []
-        tooth = CombGenerator.tooth
-        monkeypatch.setattr(CombGenerator, "tooth", lambda g, d: calls.append(d) or tooth(g, d))
+        # Count the letters read through Branch.head, which every tooth and
+        # prefix goes through: x is read once, to just past the meet.
+        reads = []
+        head = Branch.head
+        monkeypatch.setattr(Branch, "head", lambda b, n: reads.append(n) or head(b, n))
         reports = verify_convergence(gen, space, tests)
-        assert len(calls) <= 3 * len(tests)
+        assert sum(reads) <= 7990 + 2
         assert all(r.stable for r in reports)
         assert max(r.k0 for r in reports) > 2000
 
@@ -472,6 +475,71 @@ class TestClosedFormConvergence:
         gen = CombGenerator.over(ZEROS, 0, 1, 1)
         with pytest.raises(SpaceError):
             verify_convergence(gen, space, [ClassTest(ZEROS, 1)])
+
+
+def _edge_case(rng: random.Random):
+    """Generator, space, tests and horizon (None or 1-3) with decision
+    depths on the edges of the bisect window: 0, 1, and the first tooth's
+    depth and its neighbours.  Class tests leave x there, sometimes by j."""
+    m = rng.randint(2, 3)
+    x = random_branch(rng, m)
+    i = rng.choice(x.period)
+    j = i if rng.random() < 0.5 else rng.randrange(m)
+    gen = CombGenerator.over(x, i, j, rng.randint(1, 3))
+    space = _random_space(rng, m)
+    first = gen.depths[0]
+    tests = [ClassTest(x, rng.randrange(space.n))]
+    for d in sorted({0, 1, first - 1, first, first + 1} - {-1}):
+        tests.append(NodeTest(x.prefix(d)))
+        tests.append(NodeTest(x.prefix(d).child(rng.randrange(m))))
+        if d:
+            tests.append(NodeTest(x.prefix(d - 1).child(j)))
+        turns = [a for a in range(m) if a != x.letter(d)]
+        turn = j if j in turns and rng.random() < 0.5 else rng.choice(turns)
+        tail = random_branch(rng, m, 2)
+        y = Branch(m, x.head(d) + (turn,) + tail.stem, tail.period)
+        tests.append(ClassTest(y, rng.randrange(space.n)))
+    rng.shuffle(tests)
+    return gen, space, tests, rng.choice([None, 1, 2, 3])
+
+
+class TestLetterCertificates:
+    """verify_convergence reads letters, not teeth; the tooth scan of
+    conftest is the reference, errors included."""
+
+    def test_bisect_window_edges_match_tooth_scan(self):
+        rng = random.Random(14)
+        kinds, outcomes = set(), set()
+        for _ in range(500):
+            gen, space, tests, horizon = _edge_case(rng)
+            got = verify_convergence(gen, space, tests, horizon)
+            assert got == convergence_oracle(gen, space, tests, horizon), (gen, space, tests)
+            kinds.add((type(space).__name__, gen.i == gen.j, horizon))
+            outcomes.update("unstable" if r.k0 is None else min(r.k0, 2) for r in got)
+        assert len(kinds) == 2 * 2 * 4
+        assert outcomes == {0, 1, 2, "unstable"}
+
+    def test_errors_match_tooth_scan(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(300):
+            gen, space, tests, horizon = _edge_case(rng)
+            x, m = gen.branch, gen.branch.m
+            bad = [
+                NodeTest(Word(m + 1, (m,) * rng.randint(0, 3))),
+                ClassTest(Branch(m + 1, x.stem, (m,)), rng.randrange(space.n)),
+                ClassTest(Branch(m + 1, (), (m,)), space.n),
+                ClassTest(x, space.n),  # over x no tooth is read
+                ClassTest(random_branch(rng, m), -1),
+            ]
+            for t in rng.sample(bad, 2):
+                tests.insert(rng.randrange(len(tests) + 1), t)
+            with pytest.raises((AlphabetError, SpaceError)) as expected:
+                convergence_oracle(gen, space, tests, horizon)
+            with pytest.raises(type(expected.value)):
+                verify_convergence(gen, space, tests, horizon)
+            seen.add((type(space).__name__, type(expected.value).__name__))
+        assert len(seen) == 4
 
 
 # -- descriptors and separation --------------------------------------------------
