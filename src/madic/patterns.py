@@ -20,7 +20,6 @@ from .words import (
     Word,
     incidence,
     meet,
-    meet_closure,
     prefix_cmp,
     well_order_key,
 )
@@ -147,11 +146,12 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
         if r in ext and ext[r] != img:
             return FirstMoveCheck(False, 1, (s, t))
         ext[r] = img  # type: ignore[assignment]
-    closure = sorted(meet_closure(domain), key=well_order_key) if domain else []
-    images = set(ext.values())
-    target_closure = meet_closure(base.values())
-    if len(images) != len(ext) or images != set(target_closure):
+    # In a tree every meet of meets is a meet of two nodes, so the keys of
+    # ext are the domain's meet closure and, once forcing found no conflict,
+    # its values are the targets' meet closure.  Only injectivity is left.
+    if len(set(ext.values())) != len(ext):
         return FirstMoveCheck(False, 1, None)
+    closure = sorted(ext, key=well_order_key)
 
     # Witnesses on the caller's own nodes are the most readable, so pairs of
     # the original domain are examined before closure-internal pairs.

@@ -272,15 +272,6 @@ class PartitionSpace:
     def _pair_value(self, a: int, b: int, cls: int) -> int:
         return 1 if self.table.class_index(a, b) == cls else 0
 
-    def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
-        """The finite certificate of isolation: value 1 at the node and 0 at
-        all of its children identifies the node point among all points."""
-        if self.value(point, NodeTest(word)) != 1:
-            return False
-        return all(
-            self.value(point, NodeTest(word.child(a))) == 0 for a in range(word.m)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ScatteredSpace:
@@ -325,15 +316,10 @@ class ScatteredSpace:
     def _pair_value(self, a: int, b: int, cls: int) -> int:
         return 1 if a == b and a in self.family.classes[cls] else 0
 
-    def is_node_point_at(self, word: Word, point: SymbolicPoint) -> bool:
-        """Node points are single-node indicators, so the test at the node
-        alone certifies isolation; the infinity point reads 0 there."""
-        return self.value(point, NodeTest(word)) == 1
-
 
 # Both spaces answer the same rules -- m, n, separation_arity, value,
-# comb_limit, check_point and is_node_point_at, and privately _node_value and
-# _pair_value -- so callers never ask which kind of space they hold.
+# comb_limit and check_point, and privately _node_value and _pair_value --
+# so callers never ask which kind of space they hold.
 Space = Union[PartitionSpace, ScatteredSpace]
 
 
@@ -455,7 +441,8 @@ def verify_convergence(
             on = w == xs[:D]
             hit = i != j and D > 0 and w[-1] == j and w[:-1] == xs[: D - 1]
             lim_val = node_value(on, False)
-            below, at_prev, at_d = 0, node_value(hit, hit), node_value(on, on and i == j)
+            at_prev, at_d = node_value(hit, hit), node_value(on, on and i == j)
+            below = 0
         elif D < 0:
             lim_val = below = at_prev = at_d = pair_value(i, j, test.cls)
         else:
@@ -519,37 +506,37 @@ OpenSetDescriptor = Union[Cone, Singleton, CoSingleton, WholeSpace]
 def descriptor_contains(
     desc: OpenSetDescriptor, point: SymbolicPoint, space: Space
 ) -> bool:
-    """Membership of a symbolic point in a described open set."""
+    """Membership of a symbolic point in a described open set.
+
+    Decided by prefix and identity, with no evaluation: the singleton at w
+    holds the node point w alone.  In a partition space value 1 at w and 0
+    at every child of w leaves only the node point w; in a scattered space
+    node points are single-node indicators.
+    """
+    space.check_point(point)
     if isinstance(desc, WholeSpace):
         return True
+    if isinstance(point, InfinityPoint):
+        return isinstance(desc, CoSingleton)
+    node = isinstance(point, NodePoint)
+    inside = is_prefix(desc.word, point.word if node else point.branch)
     if isinstance(desc, Cone):
-        if isinstance(point, InfinityPoint):
-            return False
-        other = point.word if isinstance(point, NodePoint) else point.branch
-        return is_prefix(desc.word, other)
-    member = space.is_node_point_at(desc.word, point)
-    if isinstance(desc, Singleton):
-        return member
-    return not member
+        return inside
+    member = inside and node and point.word == desc.word
+    return member if isinstance(desc, Singleton) else not member
 
 
 def family_intersection_empty(descs: Sequence[OpenSetDescriptor]) -> bool:
-    """Syntactic certificate that the described sets have empty intersection."""
+    """Syntactic certificate that the described sets have empty intersection:
+    a singleton and its complement, or cones over incomparable nodes."""
     for a, b in itertools.combinations(descs, 2):
-        pair = {type(a), type(b)}
-        if pair == {Singleton, CoSingleton}:
-            s = a.word if isinstance(a, Singleton) else b.word
-            c = a.word if isinstance(a, CoSingleton) else b.word
-            if s == c:
-                return True
-        if isinstance(a, Cone) and isinstance(b, Cone):
+        kinds = {type(a), type(b)}
+        if kinds == {Singleton, CoSingleton} and a.word == b.word:
+            return True
+        if kinds == {Cone}:
             if prefix_cmp(a.word, b.word) is PrefixRelation.INCOMPARABLE:
                 return True
     return False
-
-
-def _point_branches(points: Sequence[SymbolicPoint]) -> list[Optional[Branch]]:
-    return [p.branch if isinstance(p, LimitPoint) else None for p in points]
 
 
 def separate_points(
@@ -559,11 +546,11 @@ def separate_points(
 
     Expects exactly one point more than the space's degree: n+1 points for a
     partition space on n classes, n+2 (the top point allowed) for a
-    scattered family of n sets.  If some point is a node point, its isolating
-    singleton and the complement for everyone else already separate.
-    Otherwise two of the limit points live on distinct branches; cones over
-    incomparable nodes below those branches separate them, and the rest of
-    the points get the whole space.
+    scattered family of n sets.  If some point is a node point, the first
+    one gets its singleton and every other point the complement.  Otherwise
+    two of the limit points live on distinct branches; the first such pair
+    gets cones over the incomparable nodes one letter past the branches'
+    meet, and the rest of the points get the whole space.
     """
     pts = list(points)
     for p in pts:
@@ -575,34 +562,24 @@ def separate_points(
         raise SpaceError("points must be pairwise distinct")
 
     descs: list[OpenSetDescriptor]
-    node_idx = next(
-        (idx for idx, p in enumerate(pts) if isinstance(p, NodePoint)), None
-    )
-    if node_idx is not None:
-        t = pts[node_idx].word
-        descs = [
-            Singleton(t) if idx == node_idx else CoSingleton(t)
-            for idx in range(len(pts))
-        ]
+    node = next((p for p in pts if isinstance(p, NodePoint)), None)
+    if node is not None:
+        t = node.word
+        descs = [Singleton(t) if p == node else CoSingleton(t) for p in pts]
     else:
-        branches = _point_branches(pts)
-        split = None
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            bi, bj = branches[i], branches[j]
-            if bi is not None and bj is not None and bi != bj:
-                split = (i, j)
-                break
+        limits = [(k, p.branch) for k, p in enumerate(pts) if isinstance(p, LimitPoint)]
+        split = next(
+            ((a, b) for a, b in itertools.combinations(limits, 2) if a[1] != b[1]),
+            None,
+        )
         if split is None:
             # More points than classes forces two distinct branches.
             raise SpaceError("internal invariant failed: no branch pair to split")
-        i, j = split
-        r = meet(branches[i], branches[j])
-        d = len(r)
-        s = r.child(branches[i].letter(d))
-        t = r.child(branches[j].letter(d))
+        (i, x), (j, y) = split
+        cut = len(meet(x, y)) + 1
         descs = [WholeSpace() for _ in pts]
-        descs[i] = Cone(s)
-        descs[j] = Cone(t)
+        descs[i] = Cone(x.prefix(cut))
+        descs[j] = Cone(y.prefix(cut))
 
     for p, d in zip(pts, descs):
         if not descriptor_contains(d, p, space):

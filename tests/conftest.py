@@ -19,6 +19,7 @@ from madic import (
     GeneratorExhaustedError,
     NodePoint,
     NodeTest,
+    PartitionSpace,
     PartitionTable,
     ReductionData,
     StabilizationReport,
@@ -168,6 +169,17 @@ def convergence_oracle(gen, space, tests, horizon=None) -> list:
             k0 = bad[-1] + 1 if bad else 0
             reports.append(StabilizationReport(test, lim_val, k0, horizon))
     return reports
+
+
+def isolation_oracle(space, s: Word, point) -> bool:
+    """Whether point is the node point at s, read from values as the old
+    certificate did: value 1 at s and, in a partition space, 0 at each
+    child of s (scattered node points are single-node indicators)."""
+    if space.value(point, NodeTest(s)) != 1:
+        return False
+    if not isinstance(space, PartitionSpace):
+        return True
+    return all(space.value(point, NodeTest(s.child(a))) == 0 for a in range(s.m))
 
 
 def relabelled_encoding(t: DenseType, pi) -> tuple:

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from madic import (
     AlphabetError,
@@ -11,6 +13,7 @@ from madic import (
     Comb,
     CombGenerator,
     DoubleComb,
+    FirstMoveCheck,
     FirstMoveMap,
     GeneratorError,
     GeneratorExhaustedError,
@@ -23,6 +26,7 @@ from madic import (
     find_pattern,
     incidence,
     meet,
+    meet_closure,
     well_order_key,
 )
 from conftest import random_word
@@ -128,6 +132,13 @@ def test_meet_conflict_reports_condition_one():
     assert got.condition == 1
 
 
+def test_non_injective_extension_reports_condition_one():
+    # The forced image of the root, the meet of (0) and (1), is () again,
+    # which (0) already maps to; no pair witnesses the merge.
+    fmm = FirstMoveMap(((W2(0), W2()), (W2(1), W2(1))))
+    assert check_first_move_map(fmm) == FirstMoveCheck(False, 1, None)
+
+
 def test_non_bijective_map_rejected():
     with pytest.raises(ValueError):
         FirstMoveMap(((W2(0), W2(1)), (W2(1), W2(1))))
@@ -154,6 +165,37 @@ def test_composition_and_inverse_stay_valid():
         assert check_first_move_map(composed).valid
         inverse = FirstMoveMap(tuple((v, w) for w, v in first.items()))
         assert check_first_move_map(inverse).valid
+
+
+@st.composite
+def first_move_maps(draw):
+    """A map w -> u.w, with every letter doubled or not, which is valid, and
+    whether two of its targets were then swapped, which may break it."""
+    m = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, m - 1), max_size=4).map(lambda ls: Word(m, ls))
+    nodes = draw(st.lists(word, min_size=1, max_size=5, unique=True))
+    u = draw(word)
+    double = draw(st.booleans())
+    targets = [
+        concat(u, Word(m, sum(((a, a) for a in w.letters), ())) if double else w)
+        for w in nodes
+    ]
+    swapped = len(nodes) > 1 and draw(st.booleans())
+    if swapped:
+        a, b = draw(st.permutations(range(len(nodes))))[:2]
+        targets[a], targets[b] = targets[b], targets[a]
+    return FirstMoveMap(tuple(zip(nodes, targets))), swapped
+
+
+@given(first_move_maps())
+def test_valid_extension_is_the_two_meet_closures(case):
+    # check_first_move_map relies on both identities and recomputes neither.
+    fmm, swapped = case
+    got = check_first_move_map(fmm)
+    assert got.valid or swapped
+    if got.valid:
+        assert set(got.extension) == meet_closure(fmm.mapping)
+        assert set(got.extension.values()) == meet_closure(fmm.mapping.values())
 
 
 # -- pattern search --------------------------------------------------------------

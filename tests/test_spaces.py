@@ -32,11 +32,12 @@ from madic.spaces import (
     split_embedding,
     verify_convergence,
 )
-from madic.words import AlphabetError, Branch, Word
+from madic.words import AlphabetError, Branch, Word, is_prefix
 
 from conftest import (
     convergence_oracle,
     default_horizon,
+    isolation_oracle,
     random_branch,
     random_family,
     random_table,
@@ -545,6 +546,9 @@ class TestLetterCertificates:
 # -- descriptors and separation --------------------------------------------------
 
 
+SPACES = [PartitionSpace(P20), ScatteredSpace(DisjointFamily(2, (frozenset({0}),)))]
+
+
 class TestDescriptors:
     def test_cone_membership(self):
         space = PartitionSpace(P20)
@@ -585,6 +589,57 @@ class TestDescriptors:
             for other in others:
                 if other != NodePoint(s):
                     assert not descriptor_contains(Singleton(s), other, space), (s, other)
+
+    def test_prefix_and_identity_match_the_value_oracle(self):
+        # Cones by is_prefix, singletons and their complements by the value
+        # certificate, in both spaces, at points on and around s.
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(300):
+            m = rng.randrange(2, 4)
+            if rng.random() < 0.5:
+                space = PartitionSpace(random_table(rng, m, rng.randrange(1, 4)))
+            else:
+                space = ScatteredSpace(random_family(rng, m))
+            s = random_word(rng, m, max_len=4)
+            pts = sample_points(space, rng, 6) + [NodePoint(s)]
+            pts += [NodePoint(s.child(a)) for a in range(m)]
+            if s.letters:
+                pts.append(NodePoint(s.prefix(len(s) - 1)))
+            through = Branch(m, s.letters, (rng.randrange(m),))
+            pts.append(LimitPoint(through, rng.randrange(space.n)))
+            if isinstance(space, ScatteredSpace):
+                pts.append(INFINITY)
+            for p in pts:
+                member = isolation_oracle(space, s, p)
+                cone = p != INFINITY and is_prefix(
+                    s, p.word if isinstance(p, NodePoint) else p.branch
+                )
+                assert descriptor_contains(Singleton(s), p, space) == member
+                assert descriptor_contains(CoSingleton(s), p, space) != member
+                assert descriptor_contains(Cone(s), p, space) == cone
+                assert descriptor_contains(WholeSpace(), p, space)
+                seen.add((type(space).__name__, type(p).__name__, member, cone))
+        assert len(seen) == 11
+
+    @pytest.mark.parametrize("desc", [Cone(w()), WholeSpace()], ids=["cone", "whole"])
+    def test_infinity_outside_a_partition_space(self, desc):
+        with pytest.raises(SpaceError, match="no infinity point"):
+            descriptor_contains(desc, INFINITY, PartitionSpace(P20))
+
+    @pytest.mark.parametrize("kind", [Cone, Singleton, CoSingleton, WholeSpace])
+    @pytest.mark.parametrize("space", SPACES, ids=["partition", "scattered"])
+    def test_class_out_of_range(self, kind, space):
+        desc = WholeSpace() if kind is WholeSpace else kind(w(0))
+        with pytest.raises(SpaceError, match="out of range"):
+            descriptor_contains(desc, LimitPoint(ZEROS, space.n), space)
+
+    @pytest.mark.parametrize("kind", [Cone, Singleton, CoSingleton])
+    @pytest.mark.parametrize("space", SPACES, ids=["partition", "scattered"])
+    def test_word_over_another_alphabet(self, kind, space):
+        for point in (NodePoint(w(0)), LimitPoint(ZEROS, 0)):
+            with pytest.raises(AlphabetError):
+                descriptor_contains(kind(w(0, m=3)), point, space)
 
     def test_emptiness_certificates(self):
         assert family_intersection_empty([Singleton(w(0)), CoSingleton(w(0))])

@@ -6,6 +6,9 @@ madic module and a public method defined in a class body must each be used
 by library code, by a demo, or by the benchmark in perfbench/.  Imports and
 definitions do not count as uses; only loaded names and attribute lookups
 do.  The library holds no assert statement, which python -O would strip.
+
+The two space kinds answer the same rules.  No library line is longer than
+88 columns, and no library module keeps an import it never loads.
 """
 
 import ast
@@ -13,6 +16,7 @@ import inspect
 from pathlib import Path
 
 import madic
+from madic.spaces import PartitionSpace, ScatteredSpace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "madic"
@@ -72,3 +76,43 @@ def test_library_checks_survive_python_o():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(exc, "id", None)
                 assert name != "AssertionError", f"{path.name}:{node.lineno}"
+
+
+def _space_rules(cls) -> set[str]:
+    private = {"_node_value", "_pair_value"}
+    return {
+        name
+        for name, member in vars(cls).items()
+        if (not name.startswith("_") or name in private)
+        and (inspect.isfunction(member) or isinstance(member, property))
+    }
+
+
+def test_both_spaces_answer_the_same_rules():
+    rules = _space_rules(PartitionSpace)
+    assert {"value", "check_point", "_node_value", "_pair_value"} <= rules
+    assert rules == _space_rules(ScatteredSpace)
+
+
+def test_no_library_line_is_over_88_columns():
+    for path in MODULES + [SRC / "__init__.py"]:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert len(line) <= 88, f"{path.name}:{number}"
+
+
+def test_no_library_module_keeps_an_unused_import():
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused = sorted(imported - loaded)
+        assert unused == [], f"{path.name}: {unused}"
