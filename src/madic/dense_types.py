@@ -288,53 +288,32 @@ def concrete_alphabet(t: DenseType) -> ConcreteAlphabet:
 def partition_from_type(t: DenseType) -> tuple[ConcreteAlphabet, PartitionTable]:
     """The surjective pair colouring induced by the type.
 
-    Diagonals take sigma.  Two free letters take psi.  Otherwise the letter
-    that is not free and has the smaller sigma shows its sigma, and the
-    other shows its tau.  Totality needs sigma injective away from the free
-    letters, which holds because block minima, gamma letters and free
-    letters are pairwise disjoint colours.
+    Free letters, and the lone anchor of an empty A, rank above every other
+    letter; the other letters rank by sigma.  Two free letters take psi off
+    the diagonal.  Otherwise (i, j) takes sigma[i] if i ranks below j, else
+    tau[j]; on the diagonal the ranks tie, so it takes sigma.  A free
+    letter ranks below free letters only, which take psi, so no free letter
+    shows its tau.  Off the diagonal, ranks tie only between free letters,
+    because sigma is injective away from them: block minima, gamma letters
+    and free letters are pairwise disjoint colours.
     """
     problems = validate_type(t)
     if problems:
         raise TypeError_("; ".join(problems))
     alph = concrete_alphabet(t)
-    m = alph.m
-    free_count = len(t.A) if t.A else 1
-    non_free = [alph.sigma[i] for i in range(free_count, m)]
-    if len(set(non_free)) != len(non_free):
+    sigma, tau, free = alph.sigma, alph.tau, len(t.A) or 1
+    if len(set(sigma[free:])) != len(sigma) - free:
         raise TypeError_("internal invariant failed: sigma is not injective")
+    rank = [t.n if k < free else s for k, s in enumerate(sigma)]
     psi = t.psi_map
-    values = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            row.append(_colour_of(alph, psi, free_count, i, j))
-        values.append(tuple(row))
-    table = PartitionTable(m, tuple(values))
+
+    def colour(i: int, j: int) -> int:
+        if i != j and i < free and j < free:
+            return psi[sigma[i], sigma[j]]
+        return sigma[i] if rank[i] <= rank[j] else tau[j]
+
+    values = tuple(tuple(colour(i, j) for j in range(alph.m)) for i in range(alph.m))
+    table = PartitionTable(alph.m, values)
     if table.colors != tuple(range(t.n)):
         raise TypeError_("induced colouring failed to reach every colour")
     return alph, table
-
-
-def _colour_of(
-    alph: ConcreteAlphabet,
-    psi: dict[tuple[int, int], int],
-    free_count: int,
-    i: int,
-    j: int,
-) -> int:
-    # A lone anchor letter (empty A) plays the free letters' role in the
-    # side conditions below, but never reaches the psi case: it cannot pair
-    # with itself off the diagonal.
-    if i == j:
-        return alph.sigma[i]
-    i_star = i < free_count
-    j_star = j < free_count
-    if i_star and j_star:
-        return psi[(alph.sigma[i], alph.sigma[j])]
-    if not i_star and (j_star or alph.sigma[i] < alph.sigma[j]):
-        return alph.sigma[i]
-    tau = alph.tau[j]
-    if not j_star and tau is not None and (i_star or alph.sigma[i] > alph.sigma[j]):
-        return tau
-    raise TypeError_("internal invariant failed: colouring cases are not total")

@@ -222,24 +222,20 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
 # -- induced tree maps ---------------------------------------------------------
 
 
+def _blocks(r: ReductionData, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The e-blocks of the letters, chained in one pass."""
+    return tuple(itertools.chain.from_iterable(r.e[a].letters for a in letters))
+
+
 def induced_word_map(r: ReductionData, w: Word) -> Word:
     """Block image of a node: e-blocks of its letters, anchor appended."""
     if w.m != r.m0:
         raise ReductionError(f"word is over {w.m} letters, embedding has {r.m0}")
-    letters: tuple[int, ...] = ()
-    for a in w.letters:
-        letters += r.e[a].letters
-    return Word(r.m1, letters + r.x.letters)
+    return Word(r.m1, _blocks(r, w.letters) + r.x.letters)
 
 
 def induced_branch_map(r: ReductionData, x: Branch) -> Branch:
     """Block image of a branch: e-blocks of stem and period, no anchor."""
     if x.m != r.m0:
         raise ReductionError(f"branch is over {x.m} letters, embedding has {r.m0}")
-    stem: tuple[int, ...] = ()
-    for a in x.stem:
-        stem += r.e[a].letters
-    period: tuple[int, ...] = ()
-    for a in x.period:
-        period += r.e[a].letters
-    return Branch(r.m1, stem, period)
+    return Branch(r.m1, _blocks(r, x.stem), _blocks(r, x.period))

@@ -23,6 +23,7 @@ from .patterns import CombGenerator, GeneratorExhaustedError
 from .words import (
     AlphabetError,
     Branch,
+    Element,
     PrefixRelation,
     Word,
     _common,
@@ -129,12 +130,6 @@ class DisjointFamily:
     def n(self) -> int:
         return len(self.classes)
 
-    def class_of_letter(self, a: int) -> Optional[int]:
-        for idx, c in enumerate(self.classes):
-            if a in c:
-                return idx
-        return None
-
 
 # -- symbolic points and test points -----------------------------------------
 
@@ -233,19 +228,48 @@ def scattered_value(
     return 1 if (point.branch == test.branch and point.cls == test.cls) else 0
 
 
+class Space:
+    """A symbolic compactum over the m-letter tree.
+
+    Both kinds answer the same rules -- m, n, separation_arity, value,
+    comb_limit and check_point, and privately _node_value and _pair_value,
+    the letter rules that verify_convergence states -- so callers never ask
+    which kind of space they hold.
+    """
+
+    __slots__ = ()
+
+    def comb_limit(self, gen: CombGenerator) -> SymbolicPoint:
+        """Limit of the tooth indicators: the limit point of the comb's
+        branch in the class whose pair rule accepts the first moves (i, j),
+        or the infinity point when no class does.
+
+        Every tooth meets the comb's branch with the pair (i, j), as
+        verify_convergence shows for a class test over it, and so does the
+        limit.  In a partition space exactly one class accepts each pair.
+        In a scattered space at most one member holds i, and no member
+        accepts i != j.
+        """
+        _check_alphabet(gen.branch, self)
+        for cls in range(self.n):
+            if self._pair_value(gen.i, gen.j, cls):
+                return LimitPoint(gen.branch, cls)
+        return INFINITY
+
+
+def _check_alphabet(element: Element, space: Space) -> None:
+    if element.m != space.m:
+        raise AlphabetError(f"alphabet mismatch: {element.m} vs {space.m}")
+
+
 @dataclass(frozen=True, slots=True)
-class PartitionSpace:
+class PartitionSpace(Space):
     """First-countable compactum attached to a partition table."""
 
     table: PartitionTable
 
     def value(self, point: SymbolicPoint, test: TestPoint) -> int:
         return partition_value(point, test, self.table)
-
-    def comb_limit(self, gen: CombGenerator) -> SymbolicPoint:
-        """Limit of the tooth indicators: the limit point of the comb's
-        branch in the class of the comb's first moves."""
-        return LimitPoint(gen.branch, self.table.class_index(gen.i, gen.j))
 
     @property
     def m(self) -> int:
@@ -260,8 +284,11 @@ class PartitionSpace:
         return self.table.n + 1
 
     def check_point(self, point: SymbolicPoint) -> None:
-        """Raise SpaceError unless the point belongs to the space."""
+        """Raise SpaceError unless the point belongs to the space, and
+        AlphabetError if it lies over another alphabet."""
         _check_partition_point(point, self.n)
+        element = point.word if isinstance(point, NodePoint) else point.branch
+        _check_alphabet(element, self)
 
     # Values read off letters (verify_convergence states the rules): at a
     # node test that is a prefix of the point, or equal to it; at a class
@@ -274,23 +301,13 @@ class PartitionSpace:
 
 
 @dataclass(frozen=True, slots=True)
-class ScatteredSpace:
+class ScatteredSpace(Space):
     """Scattered compactum of height three attached to a disjoint family."""
 
     family: DisjointFamily
 
     def value(self, point: SymbolicPoint, test: TestPoint) -> int:
         return scattered_value(point, test, self.family)
-
-    def comb_limit(self, gen: CombGenerator) -> SymbolicPoint:
-        """Tooth indicators converge to the limit point of the branch when
-        the comb stays on it with a letter of some family member, and fall
-        all the way to the infinity point otherwise."""
-        if gen.i == gen.j:
-            cls = self.family.class_of_letter(gen.i)
-            if cls is not None:
-                return LimitPoint(gen.branch, cls)
-        return INFINITY
 
     @property
     def m(self) -> int:
@@ -305,8 +322,12 @@ class ScatteredSpace:
         return self.family.n + 2
 
     def check_point(self, point: SymbolicPoint) -> None:
-        """Raise SpaceError unless the point belongs to the space."""
-        if isinstance(point, LimitPoint):
+        """Raise SpaceError unless the point belongs to the space, and
+        AlphabetError if it lies over another alphabet."""
+        if isinstance(point, NodePoint):
+            _check_alphabet(point.word, self)
+        elif isinstance(point, LimitPoint):
+            _check_alphabet(point.branch, self)
             _check_class(point.cls, self.n)
 
     # PartitionSpace's letter rules, for single-node indicators.
@@ -315,12 +336,6 @@ class ScatteredSpace:
 
     def _pair_value(self, a: int, b: int, cls: int) -> int:
         return 1 if a == b and a in self.family.classes[cls] else 0
-
-
-# Both spaces answer the same rules -- m, n, separation_arity, value,
-# comb_limit and check_point, and privately _node_value and _pair_value --
-# so callers never ask which kind of space they hold.
-Space = Union[PartitionSpace, ScatteredSpace]
 
 
 # -- convergence certificates -------------------------------------------------
@@ -398,6 +413,7 @@ def verify_convergence(
     honoured as given and may be too short to see stabilisation.
     """
     x, i, j = gen.branch, gen.i, gen.j
+    _check_alphabet(x, space)
     if horizon is not None and horizon < 1:
         raise SpaceError("horizon must be at least 1")
     # Past the stem a letter absent from the period never recurs, so at most
@@ -413,8 +429,7 @@ def verify_convergence(
     decided = []
     for test in tests:
         if isinstance(test, NodeTest):
-            if test.word.m != x.m:
-                raise AlphabetError(f"alphabet mismatch: {test.word.m} vs {x.m}")
+            _check_alphabet(test.word, space)
             decision = len(test.word.letters)
         else:
             _check_class(test.cls, n)  # even if no tooth is read
@@ -516,6 +531,7 @@ def descriptor_contains(
     space.check_point(point)
     if isinstance(desc, WholeSpace):
         return True
+    _check_alphabet(desc.word, space)
     if isinstance(point, InfinityPoint):
         return isinstance(desc, CoSingleton)
     node = isinstance(point, NodePoint)

@@ -13,10 +13,12 @@ import math
 import random
 
 from madic import (
+    INFINITY,
     Branch,
     DenseType,
     DisjointFamily,
     GeneratorExhaustedError,
+    LimitPoint,
     NodePoint,
     NodeTest,
     PartitionSpace,
@@ -148,6 +150,19 @@ def tooth_depths(gen, count: int) -> list[int]:
     return depths
 
 
+def comb_limit_oracle(space, gen):
+    """Comb limit by the rule of each kind: in a partition space the class
+    of the first moves (i, j); in a scattered space the member set holding i
+    when i == j, and the infinity point when i != j or no set holds i."""
+    if isinstance(space, PartitionSpace):
+        return LimitPoint(gen.branch, space.table.class_index(gen.i, gen.j))
+    if gen.i == gen.j:
+        for cls, members in enumerate(space.family.classes):
+            if gen.i in members:
+                return LimitPoint(gen.branch, cls)
+    return INFINITY
+
+
 def convergence_oracle(gen, space, tests, horizon=None) -> list:
     """verify_convergence by brute force: build every tooth 0..horizon from
     expanded letters and compare its value at each test with the limit's."""
@@ -158,7 +173,7 @@ def convergence_oracle(gen, space, tests, horizon=None) -> list:
     letters = expand(x, depths[-1])
     move = () if gen.i == gen.j else (gen.j,)
     teeth = [NodePoint(Word(x.m, letters[:d] + move)) for d in depths]
-    limit = space.comb_limit(gen)
+    limit = comb_limit_oracle(space, gen)
     reports = []
     for test in tests:
         lim_val = space.value(limit, test)

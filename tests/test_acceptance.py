@@ -17,6 +17,7 @@ from madic.dense_types import (
     canonical_form,
     enumerate_types,
     partition_from_type,
+    permute_type,
 )
 from madic.patterns import (
     CombGenerator,
@@ -165,16 +166,22 @@ def _oracle_table(t) -> tuple[tuple[int, ...], ...]:
 
 def test_criterion_2_colouring_formula_oracle():
     def body():
-        cells = 0
-        for n in (2, 3, 4):
+        rng = random.Random(202)
+        types = cells = 0
+        for n in (2, 3, 4, 5, 6):
             for t in enumerate_types(n):
-                _, table = partition_from_type(t)
-                expected = _oracle_table(t)
-                assert table.values == expected, f"disagreement for {t}"
-                used = {c for row in table.values for c in row}
-                assert used == set(range(n)), f"not surjective: {t}"
-                cells += table.m * table.m
-        return f"13 types, {cells} cells re-derived independently, all equal"
+                # The catalogue member, and for n <= 5 five relabellings,
+                # which leave the roles off consecutive colour ranges.
+                perms = [rng.sample(range(n), n) for _ in range(5 if n <= 5 else 0)]
+                for u in [t] + [permute_type(t, pi) for pi in perms]:
+                    _, table = partition_from_type(u)
+                    expected = _oracle_table(u)
+                    assert table.values == expected, f"disagreement for {u}"
+                    used = {c for row in table.values for c in row}
+                    assert used == set(range(n)), f"not surjective: {u}"
+                    types += 1
+                    cells += table.m * table.m
+        return f"{types} types, {cells} cells re-derived independently, all equal"
 
     _gate(2, "induced colourings agree with an independent case evaluation", body)
 

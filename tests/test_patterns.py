@@ -198,6 +198,66 @@ def test_valid_extension_is_the_two_meet_closures(case):
         assert set(got.extension.values()) == meet_closure(fmm.mapping.values())
 
 
+def _forced_extension(fmm: FirstMoveMap):
+    """The meet-forced extension over the domain's meet closure, or None
+    when forcing meets a conflict or the extension is not injective."""
+    base = fmm.mapping
+    ext = {}
+    for s in base:
+        for t in base:
+            img = meet(base[s], base[t])
+            if ext.setdefault(meet(s, t), img) != img:
+                return None
+    return ext if len(set(ext.values())) == len(ext) else None
+
+
+def _random_map(rng: random.Random) -> FirstMoveMap:
+    """Targets drawn at random, or through a prefix-wise letter relabelling
+    under a random stem (which keeps meets), maybe with two swapped."""
+    m = rng.randrange(2, 4)
+    nodes = list({random_word(rng, m, 4) for _ in range(rng.randrange(2, 7))})
+    if rng.random() < 0.3:
+        targets = list({random_word(rng, m, 4) for _ in range(3 * len(nodes))})
+        rng.shuffle(targets)
+    else:
+        stem, perms = random_word(rng, m, 2).letters, {}
+        targets = []
+        for w in nodes:
+            image = list(stem)
+            for k, a in enumerate(w.letters):
+                perm = perms.setdefault(w.letters[:k], rng.sample(range(m), m))
+                image += [perm[a]] * rng.choice((1, 1, 2))
+            targets.append(Word(m, tuple(image)))
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(len(nodes)), 2)
+            targets[a], targets[b] = targets[b], targets[a]
+    return FirstMoveMap(tuple(zip(nodes, targets[: len(nodes)])))
+
+
+def test_forcing_and_injectivity_give_meets_on_the_closure():
+    # check_first_move_map checks condition 1 only on pairs of the domain;
+    # its comment proves that the whole closure then follows.
+    rng = random.Random(2017)
+    passed = 0
+    for _ in range(4000):
+        try:
+            fmm = _random_map(rng)
+        except ValueError:  # two targets coincide: not a bijection
+            continue
+        ext = _forced_extension(fmm)
+        got = check_first_move_map(fmm)
+        assert (ext is None) == (got.condition == 1)
+        if ext is None:
+            continue
+        passed += 1
+        for s in ext:
+            for t in ext:
+                assert ext[meet(s, t)] == meet(ext[s], ext[t])
+        if got.valid:
+            assert got.extension == ext
+    assert passed > 1000
+
+
 # -- pattern search --------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     burnside_count,
     canonical_oracle,
     compositions,
+    expand,
     random_branch,
     random_table,
     random_word,
@@ -625,6 +627,35 @@ class TestInducedMaps:
                     induced_word_map(BLOCK2, a).prefix(len(a) * BLOCK2.k),
                     induced_word_map(BLOCK2, b),
                 )
+
+    def test_images_match_blockwise_expansion(self):
+        # Reference: each letter's block appended one letter at a time, and
+        # a branch image read off the expanded letters of the branch.
+        rng = random.Random(31)
+        for _ in range(200):
+            m0, m1, k = rng.randrange(1, 5), rng.randrange(2, 4), rng.randrange(1, 4)
+            words = list(itertools.product(range(m1), repeat=k))
+            e = rng.sample(words, min(m0, len(words)))
+            x = tuple(rng.randrange(m1) for _ in range(rng.randrange(k)))
+            r = ReductionData(tuple(Word(m1, b) for b in e), Word(m1, x))
+            word = random_word(rng, r.m0, 8)
+            letters = [c for a in word.letters for c in e[a]] + list(x)
+            assert induced_word_map(r, word) == Word(m1, tuple(letters))
+            branch = random_branch(rng, r.m0, 6)
+            horizon = 2 * (len(branch.stem) + len(branch.period)) + 2
+            blocks = [c for a in expand(branch, horizon) for c in e[a]]
+            image = induced_branch_map(r, branch)
+            assert expand(image, len(blocks)) == tuple(blocks)
+
+    def test_long_stem_maps_in_linear_time(self):
+        rng = random.Random(37)
+        stem = tuple(rng.randrange(2) for _ in range(200_000))
+        start = time.perf_counter()
+        image = induced_branch_map(BLOCK2, Branch(2, stem, (1,)))
+        word_image = induced_word_map(BLOCK2, Word(2, stem))
+        assert time.perf_counter() - start < 5
+        assert image.head(8) == word_image.letters[:8]
+        assert len(word_image) == 2 * len(stem) + 1
 
     def test_comb_transport(self):
         # Images of comb teeth must again march along the image branch with

@@ -22,6 +22,7 @@ from madic.spaces import (
     PartitionTable,
     ScatteredSpace,
     Singleton,
+    Space,
     SpaceError,
     WholeSpace,
     classify_subspaces,
@@ -35,6 +36,7 @@ from madic.spaces import (
 from madic.words import AlphabetError, Branch, Word, is_prefix
 
 from conftest import (
+    comb_limit_oracle,
     convergence_oracle,
     default_horizon,
     isolation_oracle,
@@ -121,9 +123,7 @@ class TestTableValidation:
 
     def test_family_may_be_empty_or_partial(self):
         assert DisjointFamily(3, ()).n == 0
-        f = DisjointFamily(3, (frozenset({2}),))
-        assert f.class_of_letter(2) == 0
-        assert f.class_of_letter(0) is None
+        DisjointFamily(3, (frozenset({2}),))  # letters 0 and 1 lie in no class
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -239,6 +239,65 @@ class TestCombLimits:
         fam = DisjointFamily(2, (frozenset({0}),))
         gen = CombGenerator.over(ONES, 1, 1, 3)
         assert ScatteredSpace(fam).comb_limit(gen) is INFINITY
+
+    def test_pair_rule_matches_the_rule_of_each_kind(self):
+        # One comb_limit, on Space, read from the pair rule; the oracle
+        # keeps the two rules it replaced.
+        assert "comb_limit" in vars(Space)
+        assert "comb_limit" not in vars(PartitionSpace)
+        assert "comb_limit" not in vars(ScatteredSpace)
+        rng = random.Random(1717)
+        kinds = {PartitionSpace: 0, ScatteredSpace: 0}
+        for _ in range(3000):
+            m = rng.randrange(1, 6)
+            if rng.random() < 0.5:
+                n = rng.randrange(1, m * m + 1)
+                space = PartitionSpace(random_table(rng, m, n))
+            else:
+                space = ScatteredSpace(random_family(rng, m))
+            branch = random_branch(rng, m, max_len=4)
+            i = rng.choice(branch.period)
+            j = i if rng.random() < 0.4 else rng.randrange(m)
+            gen = CombGenerator.over(branch, i, j, rng.randrange(1, 4))
+            assert space.comb_limit(gen) == comb_limit_oracle(space, gen)
+            kinds[type(space)] += 1
+        assert min(kinds.values()) > 1000
+
+
+class TestAlphabetOwnership:
+    """Points, descriptors and generators over another alphabet are refused
+    with AlphabetError, not answered or failed on deep inside."""
+
+    BINARY_FAMILY = ScatteredSpace(DisjointFamily(2, (frozenset({0}),)))
+
+    def test_separate_refuses_foreign_node_point(self):
+        points = [
+            NodePoint(Word(3, (2,))),
+            INFINITY,
+            LimitPoint(Branch(3, (), (2,)), 0),
+        ]
+        with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
+            separate_points(points, self.BINARY_FAMILY)
+
+    def test_separate_refuses_foreign_limit_points(self):
+        points = [LimitPoint(Branch(3, (), (a,)), a % 2) for a in range(3)]
+        with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
+            separate_points(points, PartitionSpace(P20))
+
+    def test_descriptor_word_checked_before_infinity(self):
+        with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
+            descriptor_contains(Cone(Word(3, (2,))), INFINITY, self.BINARY_FAMILY)
+
+    def test_convergence_refuses_foreign_generator(self):
+        gen = CombGenerator.over(Branch(3, (), (0,)), 0, 1, 2)
+        with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
+            verify_convergence(gen, PartitionSpace(P20), [NodeTest(Word(3, (0,)))])
+
+    def test_comb_limit_refuses_foreign_generator(self):
+        gen = CombGenerator.over(Branch(3, (), (2,)), 2, 0, 2)
+        for space in (PartitionSpace(P20), self.BINARY_FAMILY):
+            with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
+                space.comb_limit(gen)
 
 
 class TestConvergence:
