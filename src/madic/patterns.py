@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import astuple, dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .words import (
-    AlphabetError,
     Branch,
     PrefixRelation,
     Word,
+    _check_letters,
     incidence,
     meet,
     prefix_cmp,
@@ -77,9 +77,7 @@ def canonical_pattern(kind: PatternKind, size: int, m: int) -> tuple[Word, ...]:
     """
     if size < 1:
         raise ValueError("pattern size must be positive")
-    for f in astuple(kind):
-        if not 0 <= f < m:
-            raise AlphabetError(f"letter {f} outside alphabet of size {m}")
+    _check_letters(astuple(kind), m)
     out: list[Word] = []
     if isinstance(kind, Comb):
         for q in range(size):
@@ -155,7 +153,9 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
     # (injectivity), so it keeps which of meet(a, x) and meet(a, y) is
     # shorter.  The meet of two closure nodes meet(a, b) and meet(c, d) is
     # the shortest meet(a, x) with x in {b, c, d}, so it maps to the meet
-    # of the two images.
+    # of the two images.  So when a is not a prefix of b, neither is ext[a]
+    # of ext[b], which would make meet(ext[a], ext[b]) = ext[meet(a, b)]
+    # equal ext[a] and, by injectivity, meet(a, b) equal a.
     if len(set(ext.values())) != len(ext):
         return FirstMoveCheck(False, 1, None)
     closure = sorted(ext, key=well_order_key)
@@ -172,9 +172,6 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
             rel = prefix_cmp(a, b)
             if rel is PrefixRelation.A_LEQ_B:
                 continue
-            rel_img = prefix_cmp(ext[a], ext[b])
-            if rel_img is PrefixRelation.A_LEQ_B or rel_img is PrefixRelation.EQUAL:
-                return FirstMoveCheck(False, 3, (a, b))
             if incidence(a, b) != incidence(ext[a], ext[b]):
                 return FirstMoveCheck(False, 3, (a, b))
     # Condition 2: the well order is preserved.
@@ -235,6 +232,8 @@ class CombGenerator:
     depths lists positions where the branch reads letter i; the q-th tooth
     follows the branch to that depth and then moves j (for i == j the tooth
     is the plain prefix, whose first move off itself along the branch is i).
+    Past the listed depths the teeth continue at every later depth where the
+    branch reads i (see teeth).
     """
 
     branch: Branch
@@ -243,10 +242,7 @@ class CombGenerator:
     depths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = self.branch.m
-        for f in (self.i, self.j):
-            if not 0 <= f < m:
-                raise AlphabetError(f"letter {f} outside alphabet of size {m}")
+        _check_letters((self.i, self.j), self.branch.m)
         if not self.depths:
             raise GeneratorError("generator needs at least one depth")
         prev = -1
@@ -262,10 +258,21 @@ class CombGenerator:
     @classmethod
     def over(cls, branch: Branch, i: int, j: int, count: int) -> "CombGenerator":
         """Generator using the first count depths where the branch reads i."""
-        return cls(branch, i, j, _letter_positions(branch, i, count))
+        if count < 1:
+            raise GeneratorError("tooth count must be positive")
+        _check_letters((i,), branch.m)
+        # zip with a range, unlike islice, takes counts past sys.maxsize.
+        found = tuple(d for _, d in zip(range(count), _reads(branch, i, 0)))
+        if len(found) < count:
+            raise GeneratorExhaustedError(
+                f"letter {i} occurs only {len(found)} times on {branch!r}"
+            )
+        return cls(branch, i, j, found)
 
-    def size(self) -> int:
-        return len(self.depths)
+    def teeth(self) -> Iterator[int]:
+        """Every tooth depth: the listed ones, then each later one reading i."""
+        yield from self.depths
+        yield from _reads(self.branch, self.i, self.depths[-1] + 1)
 
     def tooth(self, d: int) -> Word:
         """The tooth that follows the branch to depth d and then moves j."""
@@ -273,26 +280,16 @@ class CombGenerator:
         return node if self.i == self.j else node.child(self.j)
 
 
-def _letter_positions(branch: Branch, letter: int, count: int) -> tuple[int, ...]:
-    if count < 1:
-        raise GeneratorError("tooth count must be positive")
-    if not 0 <= letter < branch.m:
-        raise AlphabetError(f"letter {letter} outside alphabet of size {branch.m}")
-    if letter not in branch.period:
-        # Only finitely many occurrences are possible: all inside the stem.
-        found = tuple(d for d, a in enumerate(branch.stem) if a == letter)
-        if len(found) < count:
-            raise GeneratorExhaustedError(
-                f"letter {letter} occurs only {len(found)} times on {branch!r}"
-            )
-        return found[:count]
-    out = []
-    d = 0
-    while len(out) < count:
-        if branch.letter(d) == letter:
-            out.append(d)
-        d += 1
-    return tuple(out)
+def _reads(branch: Branch, letter: int, start: int) -> Iterator[int]:
+    # The depths from start on where the branch reads letter.  Past the stem
+    # the period repeats, so a letter outside it runs out in the stem.
+    stem, period = branch.stem, branch.period
+    yield from (d for d in range(start, len(stem)) if stem[d] == letter)
+    if letter in period:
+        s, p = len(stem), len(period)
+        for d in itertools.count(max(start, s)):
+            if period[(d - s) % p] == letter:
+                yield d
 
 
 def comb_nodes(gen: CombGenerator) -> tuple[Word, ...]:

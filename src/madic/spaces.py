@@ -346,19 +346,22 @@ class StabilizationReport:
     """Where a comb's tooth values settle onto the limit value at one test.
 
     k0 is the least index from which every tooth up to the horizon agrees
-    with the limit; it is None (and violating_k is set) when even the last
-    examined tooth disagrees.
+    with the limit.  When even the last examined tooth disagrees, k0 is None
+    and violating_k is the horizon.
     """
 
     test: TestPoint
     limit_value: int
     k0: Optional[int]
     horizon: int
-    violating_k: Optional[int] = None
 
     @property
     def stable(self) -> bool:
         return self.k0 is not None
+
+    @property
+    def violating_k(self) -> Optional[int]:
+        return None if self.stable else self.horizon
 
 
 def verify_convergence(
@@ -416,10 +419,10 @@ def verify_convergence(
     _check_alphabet(x, space)
     if horizon is not None and horizon < 1:
         raise SpaceError("horizon must be at least 1")
-    # Past the stem a letter absent from the period never recurs, so at most
-    # len(x.stem) teeth exist; the derived horizon asks for more.
-    later = x.stem[gen.depths[-1] + 1 :].count(i)
-    if i not in x.period and (horizon is None or gen.size() + later <= horizon):
+    # Past the stem x repeats its period, so the teeth run out exactly when
+    # they all lie in the stem; the derived horizon then asks for more.
+    finite = all(d < len(x.stem) for d in gen.teeth())
+    if finite and (horizon is None or len(list(gen.teeth())) <= horizon):
         raise GeneratorExhaustedError(f"letter {i} recurs only finitely often on {x!r}")
     # The derived horizon exceeds the number of teeth no deeper than any
     # decision depth: it is at least deepest + 2, and branch_meet_horizon
@@ -443,10 +446,8 @@ def verify_convergence(
     if horizon is None:
         horizon = max(bound, deepest + 2)
     xs = x.head(deepest + 1)
-    # The first horizon + 1 tooth depths no deeper than any decision depth:
-    # the generator's own, then the later places where x reads i.
-    depths = [d for d in gen.depths if d <= deepest]
-    depths += [d for d in range(gen.depths[-1] + 1, deepest + 1) if xs[d] == i]
+    # The first horizon + 1 tooth depths no deeper than any decision depth.
+    depths = list(itertools.takewhile(lambda d: d <= deepest, gen.teeth()))
     depths = depths[: horizon + 1]
     node_value, pair_value = space._node_value, space._pair_value
     reports = []
@@ -479,10 +480,9 @@ def verify_convergence(
                 k0 = k
         if k < len(depths) and depths[k] == D and at_d != lim_val:
             k0 = k + 1
-        if k0 > horizon:
-            reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))
-        else:
-            reports.append(StabilizationReport(test, lim_val, k0, horizon))
+        reports.append(
+            StabilizationReport(test, lim_val, k0 if k0 <= horizon else None, horizon)
+        )
     return reports
 
 

@@ -179,7 +179,7 @@ def convergence_oracle(gen, space, tests, horizon=None) -> list:
         lim_val = space.value(limit, test)
         bad = [k for k, t in enumerate(teeth) if space.value(t, test) != lim_val]
         if bad and bad[-1] == horizon:
-            reports.append(StabilizationReport(test, lim_val, None, horizon, horizon))
+            reports.append(StabilizationReport(test, lim_val, None, horizon))
         else:
             k0 = bad[-1] + 1 if bad else 0
             reports.append(StabilizationReport(test, lim_val, k0, horizon))

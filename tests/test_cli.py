@@ -578,6 +578,65 @@ class TestDeepJson:
         assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
 
 
+class TestValidationExits:
+    """Each documented invalid-data path exits 3 with its own message."""
+
+    FILES = {
+        "t": P20_DOC,
+        "gen": GEN_DOC,
+        "rows": {"m": 2, "n": 2, "values": "01"},
+        "fam": {"m": 2, "classes": 0},
+        "red": {"k": 1, "x": [], "e": "01"},
+        "tests": {"kind": "node", "word": []},
+        "points": {"kind": "node", "word": [0]},
+        "i5": dict(GEN_DOC, i=5),
+        "j7": {"branch": GEN_DOC["branch"], "i": 0, "j": 7, "depths": [0, 1]},
+        "empty": {"branch": GEN_DOC["branch"], "i": 0, "j": 1, "depths": []},
+        "zero": dict(GEN_DOC, count=0),
+        "zero_i5": dict(GEN_DOC, count=0, i=5),
+    }
+    CONVERGE = ("converge", "--space", "partition", "--table", "{t}", "--generator")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("classify", "{rows}"), "values must be a list of rows"),
+            (
+                ("separate", "--space", "scattered", "--family", "{fam}", "--points", "{t}"),
+                "classes must be a list",
+            ),
+            (
+                ("reduce", "--f", "{t}", "--g", "{t}", "--reduction", "{red}"),
+                "e must be a list of words",
+            ),
+            (
+                ("converge", "--space", "scattered", "--generator", "{gen}"),
+                "--space scattered needs --family",
+            ),
+            (
+                CONVERGE + ("{gen}", "--tests", "{tests}"),
+                "tests file must hold a list of test points",
+            ),
+            (
+                ("separate", "--space", "partition", "--table", "{t}", "--points", "{points}"),
+                "points file must hold a list of symbolic points",
+            ),
+            # over checks the count first, then the letter, then the supply.
+            (CONVERGE + ("{i5}",), "letter 5 outside alphabet of size 2"),
+            (CONVERGE + ("{j7}",), "letter 7 outside alphabet of size 2"),
+            (CONVERGE + ("{empty}",), "generator needs at least one depth"),
+            (CONVERGE + ("{zero}",), "tooth count must be positive"),
+            (CONVERGE + ("{zero_i5}",), "tooth count must be positive"),
+            (CONVERGE + ("{gen}", "--horizon", "0"), "horizon must be at least 1"),
+        ],
+    )
+    def test_exits_3_with_message(self, capsys, write, argv, message):
+        paths = {name: write(f"{name}.json", doc) for name, doc in self.FILES.items()}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
+
 def run_python(*args):
     """Exit code, stdout and stderr of `python *args` in a new process that
     imports madic from this checkout."""

@@ -177,7 +177,7 @@ class TestSpaceDocs:
         stable = StabilizationReport(NodeTest(Word(2, ())), 1, 0, 6)
         doc = codec.report_to_json(stable)
         assert doc["k0"] == 0 and "unstable_at" not in doc
-        shaky = StabilizationReport(NodeTest(Word(2, ())), 1, None, 6, 6)
+        shaky = StabilizationReport(NodeTest(Word(2, ())), 1, None, 6)
         doc = codec.report_to_json(shaky)
         assert doc["unstable_at"] == 6 and "k0" not in doc
 

@@ -1,6 +1,7 @@
 """Comb prototypes, first-move equivalence, pattern search, generators."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from madic import (
     meet_closure,
     well_order_key,
 )
-from conftest import random_word
+from conftest import random_branch, random_word
 
 W2 = lambda *letters: Word(2, letters)
 
@@ -352,6 +353,33 @@ def test_generator_exhaustion():
     assert CombGenerator.over(x, 0, 1, 1).depths == (0,)
     with pytest.raises(GeneratorExhaustedError):
         CombGenerator.over(x, 0, 1, 2)
+
+
+def test_teeth_continue_past_the_listed_depths():
+    x = Branch(2, (1, 0), (1, 0, 1))  # reads 0 at depth 1, then 3, 6, 9, ...
+    gen = CombGenerator(x, 0, 1, (1,))
+    assert list(itertools.islice(gen.teeth(), 5)) == [1, 3, 6, 9, 12]
+    assert CombGenerator.over(x, 0, 1, 5).depths == (1, 3, 6, 9, 12)
+    # A letter absent from the period runs out in the stem.
+    assert list(CombGenerator(Branch(2, (0, 1, 0), (1,)), 0, 1, (0,)).teeth()) == [0, 2]
+
+
+def test_teeth_match_the_letter_scan():
+    rng = random.Random(18)
+    for _ in range(300):
+        x = random_branch(rng, rng.randint(1, 3), max_len=6, max_period=4)
+        i, j = rng.randrange(x.m), rng.randrange(x.m)
+        reads = [d for d in range(60) if x.letter(d) == i]
+        if not reads:
+            continue
+        assert CombGenerator.over(x, i, j, len(reads)).depths == tuple(reads)
+        listed = tuple(sorted(rng.sample(reads, rng.randint(1, min(3, len(reads))))))
+        want = list(listed) + [d for d in reads if d > listed[-1]]
+        teeth = CombGenerator(x, i, j, listed).teeth()
+        if i in x.period:  # the teeth go on past the scanned letters
+            assert list(itertools.islice(teeth, len(want))) == want
+        else:  # they run out in the stem
+            assert list(teeth) == want and want[-1] < len(x.stem)
 
 
 def test_comb_nodes_meet_and_incidence_facts():

@@ -525,6 +525,30 @@ class TestSearchReduction:
             assert found is not None and check_reduces(f, g, found)
 
 
+class TestCatalogueAntichain:
+    """For n <= 3 no catalogue type reduces to another, under any colour
+    relabelling; search_reduction to block length m + 1 decides this."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_type_reduces_to_another(self, n):
+        tables = [partition_from_type(t)[1] for t in enumerate_types(n)]
+        checks = 0
+        for s, t in itertools.permutations(tables, 2):
+            for pi in itertools.permutations(range(n)):
+                relabelled = tuple(tuple(pi[c] for c in row) for row in s.values)
+                f = PartitionTable(s.m, relabelled)
+                assert search_reduction(f, t, s.m + 1) is None
+                checks += 1
+        assert checks == {2: 4, 3: 36}[n]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_type_reduces_to_itself(self, n):
+        for t in enumerate_types(n):
+            table = partition_from_type(t)[1]
+            found = search_reduction(table, table, table.m + 1)
+            assert found is not None and check_reduces(table, table, found)
+
+
 def _digits(c: int, m: int, k: int) -> tuple[int, ...]:
     """The k base-m digits of c, most significant first."""
     return tuple(c // m**i % m for i in reversed(range(k)))

@@ -528,6 +528,28 @@ class TestClosedFormConvergence:
         assert all(r.stable for r in reports)
         assert max(r.k0 for r in reports) > 2000
 
+    def test_teeth_read_only_to_the_deepest_decision(self, monkeypatch):
+        # However many depths the generator lists, the certificate takes
+        # its teeth from CombGenerator.teeth only up to the deepest
+        # decision depth, and the supply check stops at the first tooth
+        # past the stem.
+        x = Branch(2, (1,), (0, 1))
+        gen = CombGenerator.over(x, 0, 1, 5000)
+        space = PartitionSpace(P20)
+        tests = [NodeTest(x.prefix(4)), ClassTest(x, 1), ClassTest(ONES, 0)]
+        taken = []
+        teeth = CombGenerator.teeth
+
+        def counted(g):
+            for d in teeth(g):
+                taken.append(d)
+                yield d
+
+        monkeypatch.setattr(CombGenerator, "teeth", counted)
+        reports = verify_convergence(gen, space, tests)
+        assert reports == convergence_oracle(gen, space, tests)
+        assert taken == [1, 1, 3, 5]
+
     def test_class_index_checked_without_teeth(self):
         # On its own branch the comb needs no tooth, and the scattered
         # infinity limit reads 0 anywhere, yet the class must still exist.

@@ -78,19 +78,24 @@ def test_library_checks_survive_python_o():
                 assert name != "AssertionError", f"{path.name}:{node.lineno}"
 
 
-def _space_rules(cls) -> set[str]:
+def _space_rules(cls) -> dict[str, str]:
+    """Each rule the kind answers, read along its MRO up to object, with the
+    class that defines it: "own" for the kind itself, else the base's name."""
     private = {"_node_value", "_pair_value"}
-    return {
-        name
-        for name, member in vars(cls).items()
-        if (not name.startswith("_") or name in private)
-        and (inspect.isfunction(member) or isinstance(member, property))
-    }
+    rules = {}
+    for owner in reversed(cls.__mro__[:-1]):
+        for name, member in vars(owner).items():
+            if (not name.startswith("_") or name in private) and (
+                inspect.isfunction(member) or isinstance(member, property)
+            ):
+                rules[name] = "own" if owner is cls else owner.__name__
+    return rules
 
 
 def test_both_spaces_answer_the_same_rules():
     rules = _space_rules(PartitionSpace)
-    assert {"value", "check_point", "_node_value", "_pair_value"} <= rules
+    assert {"value", "check_point", "_node_value", "_pair_value"} <= rules.keys()
+    assert rules["comb_limit"] == "Space"
     assert rules == _space_rules(ScatteredSpace)
 
 
