@@ -40,9 +40,8 @@ print("n=2 colourings:", two)
 # blocks to be paired, so a singleton block must be reported.
 from madic.dense_types import DenseType
 
-bad = DenseType(2, A=frozenset(), B=frozenset(), psi=(),
-                C=frozenset({0, 1}), blocks=(frozenset({0}), frozenset({1})),
-                D=frozenset(), E=frozenset(), gamma=())
+bad = DenseType(2, A=(), B=(), C=(0, 1), D=(), E=(),
+                psi=(), blocks=((0,), (1,)), gamma=())
 print("violations for an all-singleton type with empty A:")
 for msg in validate_type(bad):
     print("  -", msg)

@@ -63,8 +63,8 @@ def _emit(doc: Any) -> None:
 # -- enumerate and tables -------------------------------------------------------
 
 
-def _format_letters(s) -> str:
-    return ",".join(str(a) for a in sorted(s)) if s else "-"
+def _format_letters(role: tuple[int, ...]) -> str:
+    return ",".join(map(str, role)) or "-"
 
 
 def _format_map(items: Sequence[tuple[str, int]]) -> str:
@@ -92,11 +92,7 @@ def render_type_table(n: int, types: Sequence[DenseType]) -> str:
             [
                 str(idx),
                 str(alph.m),
-                _format_letters(t.A),
-                _format_letters(t.B),
-                _format_letters(t.C),
-                _format_letters(t.D),
-                _format_letters(t.E),
+                *map(_format_letters, (t.A, t.B, t.C, t.D, t.E)),
                 _format_map([(f"({i},{j})", v) for i, j, v in t.psi]),
                 _format_blocks(t),
                 _format_map([(str(d), v) for d, v in t.gamma]),

@@ -193,11 +193,11 @@ def report_to_json(rep: StabilizationReport) -> dict:
 def dense_type_to_json(t: DenseType) -> dict:
     return {
         "n": t.n,
-        "A": sorted(t.A),
-        "B": sorted(t.B),
-        "C": sorted(t.C),
-        "D": sorted(t.D),
-        "E": sorted(t.E),
+        "A": list(t.A),
+        "B": list(t.B),
+        "C": list(t.C),
+        "D": list(t.D),
+        "E": list(t.E),
         "psi": [list(trip) for trip in t.psi],
         "blocks": [list(b) for b in t.blocks],
         "gamma": [list(g) for g in t.gamma],

@@ -24,32 +24,31 @@ class TypeError_(ValueError):
     """Dense-type data that violates the axioms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DenseType:
     """A partition of range(n) into roles A..E with psi, blocks and gamma.
 
-    psi is stored as sorted (i, j, value) triples over the ordered distinct
-    pairs of A; blocks as sorted tuples partitioning C; gamma as sorted
-    (d, value) pairs over D.  Construction normalises the sort order so
-    equality and hashing are structural.
+    Each role is stored as a sorted tuple of colours; psi as sorted
+    (i, j, value) triples over the ordered distinct pairs of A; blocks as
+    sorted tuples partitioning C; gamma as sorted (d, value) pairs over D.
+    Construction normalises the sort order, so equality and hashing are
+    structural, and types compare by their fields in order: n, A..E, psi,
+    blocks, gamma.  That order ranks the catalogue.
     """
 
     n: int
-    A: frozenset[int]
-    B: frozenset[int]
-    C: frozenset[int]
-    D: frozenset[int]
-    E: frozenset[int]
+    A: tuple[int, ...]
+    B: tuple[int, ...]
+    C: tuple[int, ...]
+    D: tuple[int, ...]
+    E: tuple[int, ...]
     psi: tuple[tuple[int, int, int], ...]
     blocks: tuple[tuple[int, ...], ...]
     gamma: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", frozenset(self.A))
-        object.__setattr__(self, "B", frozenset(self.B))
-        object.__setattr__(self, "C", frozenset(self.C))
-        object.__setattr__(self, "D", frozenset(self.D))
-        object.__setattr__(self, "E", frozenset(self.E))
+        for role in "ABCDE":
+            object.__setattr__(self, role, tuple(sorted(set(getattr(self, role)))))
         object.__setattr__(
             self, "psi", tuple(sorted(tuple(t) for t in self.psi))
         )
@@ -70,39 +69,21 @@ class DenseType:
     def gamma_map(self) -> dict[int, int]:
         return dict(self.gamma)
 
-    def encoding(self) -> tuple:
-        return (
-            self.n,
-            tuple(sorted(self.A)),
-            tuple(sorted(self.B)),
-            tuple(sorted(self.C)),
-            tuple(sorted(self.D)),
-            tuple(sorted(self.E)),
-            self.psi,
-            self.blocks,
-            self.gamma,
-        )
-
 
 def validate_type(t: DenseType) -> list[str]:
     """All axiom violations of the given data; empty means valid."""
     out: list[str] = []
-    parts = [t.A, t.B, t.C, t.D, t.E]
-    union: set[int] = set()
-    total = 0
-    for p in parts:
-        union |= p
-        total += len(p)
-    if union != set(range(t.n)) or total != t.n:
+    roles = A, B, C, D, E = [set(r) for r in (t.A, t.B, t.C, t.D, t.E)]
+    if set().union(*roles) != set(range(t.n)) or sum(map(len, roles)) != t.n:
         out.append("A..E must partition the colours 0..n-1")
         return out
-    pairs = {(i, j) for i in t.A for j in t.A if i != j}
+    pairs = {(i, j) for i in A for j in A if i != j}
     psi = t.psi_map
     if set(psi) != pairs:
         out.append("psi must be defined on exactly the ordered pairs of A")
-    if not set(psi.values()) <= t.B:
+    if not set(psi.values()) <= B:
         out.append("psi values must lie in B")
-    if set(psi.values()) != t.B:
+    if set(psi.values()) != B:
         out.append("psi must be surjective onto B")
     covered: set[int] = set()
     for b in t.blocks:
@@ -112,18 +93,18 @@ def validate_type(t: DenseType) -> list[str]:
         if covered & set(b):
             out.append(f"block {b} overlaps another block")
         covered |= set(b)
-    if covered != t.C:
+    if covered != C:
         out.append("blocks must partition C")
     gamma = t.gamma_map
-    if set(gamma) != t.D:
+    if set(gamma) != D:
         out.append("gamma must be defined on exactly D")
-    if not set(gamma.values()) <= t.B | t.E:
+    if not set(gamma.values()) <= B | E:
         out.append("gamma values must lie in B or E")
     for k in t.E:
         if sum(1 for v in gamma.values() if v == k) < 2:
             out.append(f"colour {k} in E needs at least two gamma preimages")
-    if not t.A:
-        if t.B or t.D or t.E:
+    if not A:
+        if B or D or E:
             out.append("with A empty, B, D and E must be empty")
         if any(len(b) != 2 for b in t.blocks):
             out.append("with A empty, every block must have two colours")
@@ -134,11 +115,7 @@ def permute_type(t: DenseType, pi: Sequence[int]) -> DenseType:
     """Relabel every colour through the permutation pi."""
     return DenseType(
         t.n,
-        frozenset(pi[a] for a in t.A),
-        frozenset(pi[a] for a in t.B),
-        frozenset(pi[a] for a in t.C),
-        frozenset(pi[a] for a in t.D),
-        frozenset(pi[a] for a in t.E),
+        *([pi[a] for a in role] for role in (t.A, t.B, t.C, t.D, t.E)),
         tuple((pi[i], pi[j], pi[v]) for i, j, v in t.psi),
         tuple(tuple(pi[a] for a in b) for b in t.blocks),
         tuple((pi[d], pi[v]) for d, v in t.gamma),
@@ -155,17 +132,18 @@ def canonical_form(t: DenseType) -> DenseType:
     """Least relabelling of a valid type under all colour permutations.
 
     The type must satisfy validate_type; an invalid one raises TypeError_.
-    Encodings compare A first, then B and so on, so a least relabelling
-    puts the roles on consecutive colour ranges, and only the permutations
-    inside each range remain.  Psi and gamma then compare as their values
-    read along the sorted pairs of the A range and along the D range.  Only
-    the a! orders of A are searched; the other roles have closed forms:
+    Types compare by their fields, A first, then B and so on, so a least
+    relabelling puts the roles on consecutive colour ranges, and only the
+    permutations inside each range remain.  Psi and gamma then compare as
+    their values read along the sorted pairs of the A range and along the D
+    range.  Only the a! orders of A are searched; the other roles have
+    closed forms:
 
     - B takes its colours in the order they first appear in psi, read along
       the sorted A pairs; psi is onto B, so each A order fixes the B order;
     - C puts its singleton blocks first, then consecutive pairs;
     - E goes by descending number of gamma preimages (ties give the same
-      encoding);
+      type);
     - D goes by ascending gamma value, once the A order is chosen.
 
     So the key of an A order is psi's values and gamma's sorted values.
@@ -179,7 +157,7 @@ def canonical_form(t: DenseType) -> DenseType:
     e_label = {k: t.n - len(t.E) + r for r, k in enumerate(e_order)}
     pairs = list(itertools.permutations(range(len(t.A)), 2))
     best = None
-    for order in itertools.permutations(sorted(t.A)):
+    for order in itertools.permutations(t.A):
         seen = [psi[order[i], order[j]] for i, j in pairs]
         b_order = list(dict.fromkeys(seen))
         label = {k: len(t.A) + r for r, k in enumerate(b_order)} | e_label
@@ -187,7 +165,7 @@ def canonical_form(t: DenseType) -> DenseType:
         if best is None or key < best[0]:
             best = key, order, b_order, label
     _, order, b_order, label = best
-    singles = sorted(blk[0] for blk in t.blocks if len(blk) == 1)
+    singles = [blk[0] for blk in t.blocks if len(blk) == 1]
     doubles = [k for blk in t.blocks if len(blk) == 2 for k in blk]
     linked = sorted(t.D, key=lambda k: label[gamma[k]])
     ranked = [*order, *b_order, *singles, *doubles, *linked, *e_order]
@@ -196,22 +174,26 @@ def canonical_form(t: DenseType) -> DenseType:
 
 def enumerate_types(n: int) -> tuple[DenseType, ...]:
     """All dense types on n colours, one canonical member per relabelling
-    class, sorted by their encodings.
+    class, in DenseType order.
 
     Every class has a member in canonical_form's closed forms for B, C, D
     and E, so only those candidates are built, for each composition
     (a, b, c, d, e) of n with roles on consecutive colour ranges: psi
     whose values first take the B colours in ascending order, one block
     layout per number of pairs, and gamma with ascending values.  Only
-    the order of A is left to canonical_form.
+    the order of A is left to canonical_form.  Every candidate is valid:
+    with A empty, B, D and E are empty and every block is a pair, as
+    validate_type asks.
     """
     if n < 2:
         raise TypeError_("need at least two colours")
-    found: dict[tuple, DenseType] = {}
+    found: set[DenseType] = set()
     for sizes in itertools.product(range(n + 1), repeat=4):
         if sum(sizes) > n:
             continue
         A, B, C, D, E = _role_ranges(sizes + (n - sum(sizes),))
+        if not A and (B or D or E):
+            continue
         pairs = list(itertools.permutations(A, 2))
         psis = [
             values
@@ -220,7 +202,7 @@ def enumerate_types(n: int) -> tuple[DenseType, ...]:
         ]
         layouts = [
             [(k,) for k in C[:s]] + [(k, k + 1) for k in C[s::2]]
-            for s in range(len(C) % 2, len(C) + 1, 2)
+            for s in range(len(C) % 2, len(C) + 1 if A else 1, 2)
         ]
         gammas = [
             values
@@ -230,12 +212,8 @@ def enumerate_types(n: int) -> tuple[DenseType, ...]:
         for values, blocks, linked in itertools.product(psis, layouts, gammas):
             psi = tuple((i, j, v) for (i, j), v in zip(pairs, values))
             t = DenseType(n, A, B, C, D, E, psi, blocks, tuple(zip(D, linked)))
-            try:
-                rep = canonical_form(t)
-            except TypeError_:  # e.g. A empty with a singleton block
-                continue
-            found.setdefault(rep.encoding(), rep)
-    return tuple(found[k] for k in sorted(found))
+            found.add(canonical_form(t))
+    return tuple(sorted(found))
 
 
 # -- the induced alphabet and colouring ---------------------------------------
@@ -267,18 +245,18 @@ def concrete_alphabet(t: DenseType) -> ConcreteAlphabet:
     elements: list[tuple[str, tuple[int, ...]]] = []
     sigma: list[int] = []
     tau: list[Optional[int]] = []
-    free = sorted(t.A) if t.A else [0]
+    free = t.A or (0,)
     tag = "free" if t.A else "anchor"
     for k in free:
         elements.append((tag, (k,)))
-        sigma.append(k if t.A else 0)
+        sigma.append(k)
         tau.append(None)
-    for blk in sorted(t.blocks, key=min):
+    for blk in t.blocks:
         elements.append(("block", blk))
         sigma.append(min(blk))
         tau.append(max(blk))
     gamma = t.gamma_map
-    for d in sorted(t.D):
+    for d in t.D:
         elements.append(("linked", (d,)))
         sigma.append(d)
         tau.append(gamma[d])

@@ -160,11 +160,14 @@ def search_reduction(
 @dataclass(frozen=True)
 class RestrictionResult:
     """A colouring f on a subset of g's colours together with the embedding
-    carrying f into g and the colour subset actually used."""
+    carrying f into g; colors is the colour subset f uses."""
 
     table: PartitionTable
     reduction: ReductionData
-    colors: tuple[int, ...]
+
+    @property
+    def colors(self) -> tuple[int, ...]:
+        return self.table.colors
 
 
 def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
@@ -216,7 +219,7 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     table = PartitionTable(len(e), values)
     if len(table.colors) != n0 or not check_reduces(table, g, reduction):
         raise ReductionError("internal invariant failed: restriction is not verified")
-    return RestrictionResult(table, reduction, table.colors)
+    return RestrictionResult(table, reduction)
 
 
 # -- induced tree maps ---------------------------------------------------------

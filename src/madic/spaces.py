@@ -21,12 +21,11 @@ from typing import Optional, Sequence, Union
 
 from .patterns import CombGenerator, GeneratorExhaustedError
 from .words import (
-    AlphabetError,
     Branch,
-    Element,
     PrefixRelation,
     Word,
     _common,
+    _same_alphabet,
     branch_meet_horizon,
     incidence,
     is_prefix,
@@ -250,16 +249,11 @@ class Space:
         In a scattered space at most one member holds i, and no member
         accepts i != j.
         """
-        _check_alphabet(gen.branch, self)
+        _same_alphabet(gen.branch, self)
         for cls in range(self.n):
             if self._pair_value(gen.i, gen.j, cls):
                 return LimitPoint(gen.branch, cls)
         return INFINITY
-
-
-def _check_alphabet(element: Element, space: Space) -> None:
-    if element.m != space.m:
-        raise AlphabetError(f"alphabet mismatch: {element.m} vs {space.m}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,7 +282,7 @@ class PartitionSpace(Space):
         AlphabetError if it lies over another alphabet."""
         _check_partition_point(point, self.n)
         element = point.word if isinstance(point, NodePoint) else point.branch
-        _check_alphabet(element, self)
+        _same_alphabet(element, self)
 
     # Values read off letters (verify_convergence states the rules): at a
     # node test that is a prefix of the point, or equal to it; at a class
@@ -325,9 +319,9 @@ class ScatteredSpace(Space):
         """Raise SpaceError unless the point belongs to the space, and
         AlphabetError if it lies over another alphabet."""
         if isinstance(point, NodePoint):
-            _check_alphabet(point.word, self)
+            _same_alphabet(point.word, self)
         elif isinstance(point, LimitPoint):
-            _check_alphabet(point.branch, self)
+            _same_alphabet(point.branch, self)
             _check_class(point.cls, self.n)
 
     # PartitionSpace's letter rules, for single-node indicators.
@@ -416,7 +410,7 @@ def verify_convergence(
     honoured as given and may be too short to see stabilisation.
     """
     x, i, j = gen.branch, gen.i, gen.j
-    _check_alphabet(x, space)
+    _same_alphabet(x, space)
     if horizon is not None and horizon < 1:
         raise SpaceError("horizon must be at least 1")
     # Past the stem x repeats its period, so the teeth run out exactly when
@@ -432,7 +426,7 @@ def verify_convergence(
     decided = []
     for test in tests:
         if isinstance(test, NodeTest):
-            _check_alphabet(test.word, space)
+            _same_alphabet(test.word, space)
             decision = len(test.word.letters)
         else:
             _check_class(test.cls, n)  # even if no tooth is read
@@ -531,7 +525,7 @@ def descriptor_contains(
     space.check_point(point)
     if isinstance(desc, WholeSpace):
         return True
-    _check_alphabet(desc.word, space)
+    _same_alphabet(desc.word, space)
     if isinstance(point, InfinityPoint):
         return isinstance(desc, CoSingleton)
     node = isinstance(point, NodePoint)
@@ -684,7 +678,7 @@ def split_embedding(
     if table.m != 2 or table.n != 2:
         raise SpaceError("split embedding needs a two-letter, two-colour table")
     tail = _split_tail(table)
-    _check_partition_point(point, 2)
+    PartitionSpace(table).check_point(point)
     if isinstance(point, LimitPoint):
         upper = table.class_index(0, 1)
         return (interleave_branch(point.branch), 1 if point.cls == upper else 0)

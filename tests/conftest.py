@@ -198,7 +198,8 @@ def isolation_oracle(space, s: Word, point) -> bool:
 
 
 def relabelled_encoding(t: DenseType, pi) -> tuple:
-    """DenseType.encoding of t with every colour c renamed pi[c]."""
+    """The fields of t in DenseType order, with every colour c renamed pi[c]:
+    the key by which relabellings compare, built without DenseType."""
     roles = (tuple(sorted(pi[c] for c in r)) for r in (t.A, t.B, t.C, t.D, t.E))
     return (
         t.n,
@@ -215,8 +216,7 @@ def canonical_oracle(t: DenseType) -> DenseType:
         itertools.permutations(range(t.n)),
         key=lambda pi: relabelled_encoding(t, pi),
     )
-    _, a, b, c, d, e, psi, blocks, gamma = relabelled_encoding(t, pi)
-    return DenseType(t.n, *map(frozenset, (a, b, c, d, e)), psi, blocks, gamma)
+    return DenseType(*relabelled_encoding(t, pi))
 
 
 def compositions(n: int) -> list[tuple[int, ...]]:

@@ -44,6 +44,7 @@ from conftest import (
     random_table,
     random_word,
     range_types,
+    relabelled_encoding,
     search_oracle,
 )
 
@@ -95,11 +96,11 @@ P21 = PartitionTable.dense(2, 2, ((0, 1), (1, 1)))
 # colour: its table colours both orders of the pair alike.
 T32 = DenseType(
     3,
-    A=frozenset({0, 1}),
-    B=frozenset({2}),
-    C=frozenset(),
-    D=frozenset(),
-    E=frozenset(),
+    A=(0, 1),
+    B=(2,),
+    C=(),
+    D=(),
+    E=(),
     psi=((0, 1, 2), (1, 0, 2)),
     blocks=(),
     gamma=(),
@@ -107,17 +108,7 @@ T32 = DenseType(
 
 
 def dt(n, a=(), b=(), c=(), d=(), e=(), psi=(), blocks=(), gamma=()):
-    return DenseType(
-        n,
-        frozenset(a),
-        frozenset(b),
-        frozenset(c),
-        frozenset(d),
-        frozenset(e),
-        tuple(psi),
-        tuple(blocks),
-        tuple(gamma),
-    )
+    return DenseType(n, a, b, c, d, e, psi, blocks, gamma)
 
 
 IDENTITY2 = ReductionData((Word(2, (0,)), Word(2, (1,))), Word(2, ()))
@@ -209,9 +200,38 @@ class TestEnumerateTypes:
 
     def test_output_sorted_and_deterministic(self):
         types = enumerate_types(3)
-        keys = [t.encoding() for t in types]
-        assert keys == sorted(keys)
+        assert list(types) == sorted(types)
         assert enumerate_types(3) == types
+
+    def test_order_is_the_relabelled_encoding(self):
+        # Random relabellings of the catalogue are not canonical, so their
+        # order is not the catalogue's own.
+        rng = random.Random(5)
+        types = [
+            permute_type(t, rng.sample(range(n), n))
+            for n in (2, 3, 4, 5)
+            for t in enumerate_types(n)
+            for _ in range(3)
+        ]
+        rng.shuffle(types)
+        pairs = [(relabelled_encoding(t, range(t.n)), t) for t in types]
+        assert sorted(types) == [t for _, t in sorted(pairs)]
+        for (ks, s), (kt, t) in zip(pairs, pairs[1:]):
+            assert (s < t) == (ks < kt) and (s == t) == (ks == kt)
+
+    def test_roles_normalise_to_sorted_tuples(self):
+        rows = [
+            (frozenset({0, 1}), frozenset({2}), frozenset({3, 4})),
+            ([1, 0], [2], [4, 3]),
+            ((1, 0, 1), (2, 2), (3, 4, 3)),
+        ]
+        types = [
+            DenseType(5, a, b, (), (), c, ((1, 0, 2), (0, 1, 2)), (), ())
+            for a, b, c in rows
+        ]
+        assert types[0].A == (0, 1) and types[0].E == (3, 4)
+        assert all(t == types[0] for t in types)
+        assert len({hash(t) for t in types}) == 1
 
     def test_two_colour_tables_are_the_known_pair(self):
         tables = {partition_from_type(t)[1].values for t in enumerate_types(2)}
@@ -252,7 +272,7 @@ class TestCanonicalFormOracle:
     def test_six_colours(self):
         types = enumerate_types(6)
         assert len(types) == 184
-        assert len({t.encoding() for t in types}) == 184
+        assert len(set(types)) == 184
         rng = random.Random(6)
         for t in types:
             assert canonical_oracle(t) == t

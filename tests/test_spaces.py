@@ -920,6 +920,18 @@ class TestSplitEmbedding:
         with pytest.raises(SpaceError):
             split_embedding(self.TABLES["rows_apart"], INFINITY)
 
+    @pytest.mark.parametrize(
+        "point, m",
+        [
+            (NodePoint(Word(5, (1, 0))), 5),
+            (LimitPoint(Branch(7, (), (0, 1)), 0), 7),
+            (LimitPoint(Branch(3, (), (2,)), 0), 3),
+        ],
+    )
+    def test_other_alphabet_rejected(self, point, m):
+        with pytest.raises(AlphabetError, match=f"alphabet mismatch: {m} vs 2$"):
+            split_embedding(self.TABLES["rows_apart"], point)
+
     def test_injective_on_sampled_points(self):
         rng = random.Random(5)
         for table in self.TABLES.values():
