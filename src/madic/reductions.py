@@ -66,17 +66,29 @@ class ReductionData:
 def apply_reduction(r: ReductionData) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The incidence table eps of the embedding, as an m0 x m0 array of
     letter pairs.  Diagonal entries come from the anchor and may be
-    off-diagonal pairs themselves."""
-    out = []
-    for u in range(r.m0):
-        row = []
-        for v in range(r.m0):
-            if u == v:
-                row.append(incidence(r.e[u], r.x))
-            else:
-                row.append(incidence(r.e[u], r.e[v]))
-        out.append(tuple(row))
-    return tuple(out)
+    off-diagonal pairs themselves.
+
+    Each entry is incidence(e(u), e(v)), or incidence(e(u), x) on the
+    diagonal, read from letters: the letter pair at the first position
+    where the operands differ, or (i, i) for the letter i of e(u) at |x|
+    when x is a prefix of e(u).  ReductionData makes that position exist:
+    the letter words are distinct and of one length, and x is shorter.
+    """
+    e = [w.letters for w in r.e]
+    x = r.x.letters
+    return tuple(
+        tuple(_first_moves(a, x if u == v else b) for v, b in enumerate(e))
+        for u, a in enumerate(e)
+    )
+
+
+def _first_moves(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
+    """incidence of letter tuples a and b, where b is a shorter tuple or
+    one that differs from a."""
+    for i, j in zip(a, b):
+        if i != j:
+            return (i, j)
+    return (a[len(b)], a[len(b)])
 
 
 def check_reduces(f: PartitionTable, g: PartitionTable, r: ReductionData) -> bool:
@@ -128,29 +140,40 @@ def search_reduction(
         ]
         for x in anchors:
             diag = [g.color(*incidence(w, x)) for w in words]
-            chosen: list[int] = []
-
-            def place(u: int) -> Optional[ReductionData]:
-                if u == m0:
-                    return ReductionData(tuple(words[i] for i in chosen), x)
-                for w in range(len(words)):
-                    if diag[w] != fc[u][u] or w in chosen:
-                        continue
-                    if all(
-                        g.color(*incidence(words[wv], words[w])) == fc[v][u]
-                        and g.color(*incidence(words[w], words[wv])) == fc[u][v]
-                        for v, wv in enumerate(chosen)
-                    ):
-                        chosen.append(w)
-                        hit = place(u + 1)
-                        if hit is not None:
-                            return hit
-                        chosen.pop()
-                return None
-
-            found = place(0)
+            found = _place(0, [], words, diag, fc, g, x)
             if found is not None:
                 return found
+    return None
+
+
+def _place(
+    u: int,
+    chosen: list[int],
+    words: list[Word],
+    diag: list[int],
+    fc: list[list[int]],
+    g: PartitionTable,
+    x: Word,
+) -> Optional[ReductionData]:
+    """Place letter words u, u + 1, ... after the indices in chosen, in
+    candidate order, and return the first witness.  It takes its state as
+    arguments because a nested function that calls itself is a reference
+    cycle, which only the cyclic garbage collector frees."""
+    if u == len(fc):
+        return ReductionData(tuple(words[i] for i in chosen), x)
+    for w in range(len(words)):
+        if diag[w] != fc[u][u] or w in chosen:
+            continue
+        if all(
+            g.color(*incidence(words[wv], words[w])) == fc[v][u]
+            and g.color(*incidence(words[w], words[wv])) == fc[u][v]
+            for v, wv in enumerate(chosen)
+        ):
+            chosen.append(w)
+            hit = _place(u + 1, chosen, words, diag, fc, g, x)
+            if hit is not None:
+                return hit
+            chosen.pop()
     return None
 
 

@@ -312,6 +312,21 @@ def burnside_count(n: int) -> int:
     return total
 
 
+def apply_reduction_oracle(r: ReductionData) -> tuple:
+    """The incidence table of an embedding, one incidence call per entry:
+    incidence(e(u), e(v)) off the diagonal and incidence(e(u), x) on it."""
+    out = []
+    for u in range(r.m0):
+        row = []
+        for v in range(r.m0):
+            if u == v:
+                row.append(incidence(r.e[u], r.x))
+            else:
+                row.append(incidence(r.e[u], r.e[v]))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):
     """Reference search over Word objects: the letter words and anchors of
     search_reduction, tried in the same order up to max_k."""

@@ -36,6 +36,7 @@ from madic.spaces import PartitionTable, classify_subspaces
 from madic.words import Branch, Word, incidence, is_prefix, meet
 
 from conftest import (
+    apply_reduction_oracle,
     burnside_count,
     canonical_oracle,
     compositions,
@@ -400,6 +401,28 @@ class TestApplyReduction:
         r = ReductionData((Word(3, (2, 1)),), Word(3, (2,)))
         assert apply_reduction(r) == (((1, 1),),)
 
+    def test_matches_incidence_oracle(self):
+        # The closed form against one incidence call per entry, on 2,400
+        # random embeddings with m1 in 2..5 and k in 1..6; anchors take
+        # every length below k, and every third is a prefix of a letter word.
+        rng = random.Random(20)
+        shapes, prefixes = set(), 0
+        for trial in range(2400):
+            m1, k = rng.randint(2, 5), rng.randint(1, 6)
+            m0 = rng.randint(1, min(5, m1**k))
+            e = tuple(Word(m1, _digits(c, m1, k)) for c in rng.sample(range(m1**k), m0))
+            length = rng.randrange(k)
+            if trial % 3 == 0:
+                x = e[rng.randrange(m0)].prefix(length)
+            else:
+                x = Word(m1, tuple(rng.randrange(m1) for _ in range(length)))
+            r = ReductionData(e, x)
+            assert apply_reduction(r) == apply_reduction_oracle(r)
+            shapes.add((k, length))
+            prefixes += any(is_prefix(x, w) for w in e)
+        assert shapes == {(k, n) for k in range(1, 7) for n in range(k)}
+        assert prefixes >= 800
+
     def test_rejects_duplicate_words(self):
         with pytest.raises(ReductionError):
             ReductionData((Word(2, (0,)), Word(2, (0,))), Word(2, ()))
@@ -514,7 +537,7 @@ class TestSearchReduction:
 
     def test_matches_unmemoised_search(self):
         # Same witness (the first in search order) or None in both, on
-        # 1,000 random pairs; some f use a colour g lacks.
+        # 1,300 random pairs; some f use a colour g lacks.
         rng = random.Random(2024)
         for _ in range(1000):
             m1 = rng.randint(1, 4)
@@ -525,6 +548,13 @@ class TestSearchReduction:
                 m0 = 2  # the oracle takes about 0.5 s on each of these
             f = random_table(rng, m0, rng.randint(1, min(n1 + 1, m0 * m0)))
             g = random_table(rng, m1, n1)
+            assert search_reduction(f, g, max_k) == search_oracle(f, g, max_k)
+        # m1 = 5, where the candidate order runs over the widest alphabet; the
+        # oracle stays fast with m0 <= 2 and max_k <= 2.
+        for _ in range(300):
+            m0, max_k = rng.randint(1, 2), rng.randint(1, 2)
+            g = random_table(rng, 5, rng.randint(1, 6))
+            f = random_table(rng, m0, rng.randint(1, min(g.n + 1, m0 * m0)))
             assert search_reduction(f, g, max_k) == search_oracle(f, g, max_k)
 
     def test_embeddings_found_by_block_length_m0_plus_one(self):
