@@ -15,12 +15,11 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .words import (
     Branch,
-    PrefixRelation,
     Word,
     _check_letters,
     incidence,
+    is_prefix,
     meet,
-    prefix_cmp,
     well_order_key,
 )
 
@@ -136,14 +135,12 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
     bijective, is reported as condition 1.
     """
     base = fmm.mapping
-    domain = list(base)
     ext: dict[Word, Word] = dict(base)
-    for s, t in itertools.combinations_with_replacement(domain, 2):
-        r = meet(s, t)
+    # meet(s, s) = s already maps to base[s], so only distinct pairs force.
+    for s, t in itertools.combinations(base, 2):
         img = meet(base[s], base[t])
-        if r in ext and ext[r] != img:
+        if ext.setdefault(meet(s, t), img) != img:  # type: ignore[arg-type]
             return FirstMoveCheck(False, 1, (s, t))
-        ext[r] = img  # type: ignore[assignment]
     # In a tree every meet of meets is a meet of two nodes, so the keys of
     # ext are the domain's meet closure and, once forcing found no conflict,
     # its values are the targets' meet closure.  Only injectivity is left:
@@ -158,28 +155,26 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
     # equal ext[a] and, by injectivity, meet(a, b) equal a.
     if len(set(ext.values())) != len(ext):
         return FirstMoveCheck(False, 1, None)
-    closure = sorted(ext, key=well_order_key)
-
-    # Witnesses on the caller's own nodes are the most readable, so pairs of
-    # the original domain are examined before closure-internal pairs.
-    dom_set = set(domain)
-    pair_seq = list(itertools.combinations(sorted(domain, key=well_order_key), 2))
-    rest = itertools.combinations(closure, 2)
-    pair_seq += [(s, t) for s, t in rest if not (s in dom_set and t in dom_set)]
-    # Condition 3: incidence pairs are preserved wherever defined.
-    for s, t in pair_seq:
-        for a, b in ((s, t), (t, s)):
-            rel = prefix_cmp(a, b)
-            if rel is PrefixRelation.A_LEQ_B:
-                continue
-            if incidence(a, b) != incidence(ext[a], ext[b]):
-                return FirstMoveCheck(False, 3, (a, b))
-    # Condition 2: the well order is preserved.
-    for s, t in pair_seq:
-        if (well_order_key(s) < well_order_key(t)) != (
-            well_order_key(ext[s]) < well_order_key(ext[t])
-        ):
-            return FirstMoveCheck(False, 2, (s, t))
+    # Condition 3: incidence pairs are preserved.  Each pair s < t of the
+    # domain is checked once, longer node first: a node has no incidence
+    # with its extension, and incomparable nodes swap theirs.  Pairs with
+    # a closure node follow, as ext keeps meets and prefixes.  Take closure
+    # nodes c <= a and d <= b, with a and b in the domain.  If c and d are
+    # incomparable, they split where a and b do, by the same letters.  If
+    # d is a proper prefix of c, d is a domain node or splits two, so some
+    # domain node z (d, or one of the two) has meet(a, z) = d, and c leaves
+    # d by the first letter of incidence(a, z).  So do the images.
+    domain = sorted(base, key=well_order_key)
+    for s, t in itertools.combinations(domain, 2):
+        a, b = (t, s) if is_prefix(s, t) else (s, t)
+        if incidence(a, b) != incidence(ext[a], ext[b]):
+            return FirstMoveCheck(False, 3, (a, b))
+    # Condition 2: the well order is preserved, on the domain first, whose
+    # witnesses are the most readable, then on the whole closure.
+    for nodes in (domain, sorted(ext, key=well_order_key)):
+        for s, t in itertools.combinations(nodes, 2):
+            if well_order_key(ext[t]) < well_order_key(ext[s]):
+                return FirstMoveCheck(False, 2, (s, t))
     return FirstMoveCheck(True, extension=ext)
 
 
@@ -187,20 +182,6 @@ def check_first_move_map(fmm: FirstMoveMap) -> FirstMoveCheck:
 class PatternMatch:
     nodes: tuple[Word, ...]
     map: FirstMoveMap
-
-
-def _pairwise_compatible(pattern: tuple[Word, ...], cand: tuple[Word, ...]) -> bool:
-    # Cheap necessary screen before the closure check: teeth must agree on
-    # prefix relations and incidences pair by pair.
-    for (p, q), (a, b) in zip(
-        itertools.combinations(pattern, 2), itertools.combinations(cand, 2)
-    ):
-        rp = prefix_cmp(p, q)
-        if rp != prefix_cmp(a, b):
-            return False
-        if rp is PrefixRelation.INCOMPARABLE and incidence(p, q) != incidence(a, b):
-            return False
-    return True
 
 
 def find_pattern(
@@ -213,15 +194,27 @@ def find_pattern(
     matches.
     """
     pattern = canonical_pattern(kind, size, m)
-    pool = sorted(set(nodes), key=well_order_key)
-    if len(pool) < len(pattern):
+    return _extend(pattern, sorted(set(nodes), key=well_order_key), 0, ())
+
+
+def _extend(
+    pattern: tuple[Word, ...], pool: list[Word], start: int, chosen: tuple[Word, ...]
+) -> Optional[PatternMatch]:
+    """The first match extending chosen by pool nodes from start on.  A
+    first-move equivalence restricts to one on each part of its domain (the
+    part's closure and forced map lie in the whole one's), so tuples grow in
+    itertools.combinations order only while they match the prototype's
+    first teeth.  The state comes as arguments: a nested function that
+    calls itself is a reference cycle."""
+    fmm = FirstMoveMap(tuple(zip(pattern, chosen)))
+    if not check_first_move_map(fmm).valid:
         return None
-    for cand in itertools.combinations(pool, len(pattern)):
-        if not _pairwise_compatible(pattern, cand):
-            continue
-        fmm = FirstMoveMap(tuple(zip(pattern, cand)))
-        if check_first_move_map(fmm).valid:
-            return PatternMatch(cand, fmm)
+    if len(chosen) == len(pattern):
+        return PatternMatch(chosen, fmm)
+    for k in range(start, len(pool) - len(pattern) + len(chosen) + 1):
+        hit = _extend(pattern, pool, k + 1, chosen + (pool[k],))
+        if hit is not None:
+            return hit
     return None
 
 

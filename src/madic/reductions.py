@@ -201,8 +201,9 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     shows g(u_r, v_r) on the diagonal and toward later words, which show
     g(v_r, u_r) toward it.  When at most n0 colours appear off the
     diagonal, the pairs are the least one of each such colour, and words
-    x w on diagonal letters w add the rest; otherwise pairs collect colours
-    greedily until the target count is reached.
+    x w on diagonal letters w add the rest, with g(w, w') among them;
+    otherwise pairs collect colours greedily up to the target count.  f
+    is read off the chain and checked against g o eps by check_reduces.
     """
     if g.m < 2:
         raise ReductionError("need at least two letters to restrict colours")
@@ -237,7 +238,13 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     e += [x + (w,) for w in diags]
     reduction = ReductionData(tuple(Word(g.m, w) for w in e), Word(g.m, x))
     values = tuple(
-        tuple(g.color(*pair) for pair in row) for row in apply_reduction(reduction)
+        tuple(
+            g.color(*(splits[a] if a <= b else splits[b][::-1]))
+            if min(a, b) < len(x)
+            else g.color(diags[a - len(x)], diags[b - len(x)])
+            for b in range(len(e))
+        )
+        for a in range(len(e))
     )
     table = PartitionTable(len(e), values)
     if len(table.colors) != n0 or not check_reduces(table, g, reduction):

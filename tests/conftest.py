@@ -17,17 +17,25 @@ from madic import (
     Branch,
     DenseType,
     DisjointFamily,
+    FirstMoveCheck,
+    FirstMoveMap,
     GeneratorExhaustedError,
     LimitPoint,
     NodePoint,
     NodeTest,
     PartitionSpace,
     PartitionTable,
+    PatternMatch,
+    PrefixRelation,
     ReductionData,
     StabilizationReport,
     Word,
+    canonical_pattern,
     incidence,
+    meet,
+    prefix_cmp,
     validate_type,
+    well_order_key,
 )
 
 
@@ -371,4 +379,62 @@ def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):
             found = place(0)
             if found is not None:
                 return found
+    return None
+
+
+def first_move_oracle(fmm: FirstMoveMap) -> FirstMoveCheck:
+    """check_first_move_map as it was before pattern search pruned with it:
+    forcing over every pair with repetition, then condition 3 in both
+    orientations and condition 2 on every pair of the meet closure, the
+    domain's own pairs first."""
+    base = fmm.mapping
+    domain = list(base)
+    ext = dict(base)
+    for s, t in itertools.combinations_with_replacement(domain, 2):
+        r = meet(s, t)
+        img = meet(base[s], base[t])
+        if r in ext and ext[r] != img:
+            return FirstMoveCheck(False, 1, (s, t))
+        ext[r] = img
+    if len(set(ext.values())) != len(ext):
+        return FirstMoveCheck(False, 1, None)
+    closure = sorted(ext, key=well_order_key)
+    dom_set = set(domain)
+    pair_seq = list(itertools.combinations(sorted(domain, key=well_order_key), 2))
+    rest = itertools.combinations(closure, 2)
+    pair_seq += [(s, t) for s, t in rest if not (s in dom_set and t in dom_set)]
+    for s, t in pair_seq:
+        for a, b in ((s, t), (t, s)):
+            if prefix_cmp(a, b) is PrefixRelation.A_LEQ_B:
+                continue
+            if incidence(a, b) != incidence(ext[a], ext[b]):
+                return FirstMoveCheck(False, 3, (a, b))
+    for s, t in pair_seq:
+        if (well_order_key(s) < well_order_key(t)) != (
+            well_order_key(ext[s]) < well_order_key(ext[t])
+        ):
+            return FirstMoveCheck(False, 2, (s, t))
+    return FirstMoveCheck(True, extension=ext)
+
+
+def find_pattern_oracle(nodes, kind, size: int, m: int):
+    """find_pattern as every C(pool, k) tuple in combinations order, each
+    screened pair by pair on prefix relations and incidences, then checked
+    by first_move_oracle."""
+    pattern = canonical_pattern(kind, size, m)
+    pool = sorted(set(nodes), key=well_order_key)
+    for cand in itertools.combinations(pool, len(pattern)):
+        pairs = zip(itertools.combinations(pattern, 2), itertools.combinations(cand, 2))
+        if any(
+            prefix_cmp(p, q) != prefix_cmp(a, b)
+            or (
+                prefix_cmp(p, q) is PrefixRelation.INCOMPARABLE
+                and incidence(p, q) != incidence(a, b)
+            )
+            for (p, q), (a, b) in pairs
+        ):
+            continue
+        fmm = FirstMoveMap(tuple(zip(pattern, cand)))
+        if first_move_oracle(fmm).valid:
+            return PatternMatch(cand, fmm)
     return None

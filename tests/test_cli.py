@@ -138,6 +138,10 @@ class TestClassify:
         doc["colors"] = [0, 1]
         assert run_json(capsys, "classify", write("g.json", doc))["classes"] == 2
 
+    def test_empty_alphabet_is_validation_error(self, capsys, write):
+        code, out, err = run(capsys, "classify", write("g.json", {"m": 0, "values": []}))
+        assert (code, out, err) == (3, "", "error: alphabet size must be positive\n")
+
     @pytest.mark.parametrize("field", ["m", "n"])
     def test_string_size_is_validation_error(self, capsys, write, field):
         path = write("g.json", dict(P20_DOC, **{field: "2"}))

@@ -14,7 +14,14 @@ import pytest
 
 from madic import cli, codec
 from madic.dense_types import enumerate_types, partition_from_type
-from madic.patterns import CombGenerator
+from madic.patterns import (
+    Comb,
+    CombGenerator,
+    FirstMoveMap,
+    canonical_pattern,
+    check_first_move_map,
+    find_pattern,
+)
 from madic.reductions import (
     apply_reduction,
     check_reduces,
@@ -30,7 +37,7 @@ from madic.spaces import (
     separate_points,
     verify_convergence,
 )
-from madic.words import Branch, Word
+from madic.words import Branch, Word, concat
 
 G = partition_from_type(enumerate_types(4)[0])[1]
 RESTRICTED = restrict_colors(G, 2)
@@ -46,6 +53,12 @@ POINTS = [
     NodePoint(Word(3, (2,))),
     LimitPoint(Branch(3, (), (0, 1)), 3),
 ]
+
+TEETH = canonical_pattern(Comb(0, 1), 3, 2)
+NOISE = tuple(Word(2, ls) for ls in [(0,), (1, 1), (0, 1), (1, 0, 1)])
+PACKED = (Word(2, (1,)), Word(2, (0, 1)), Word(2, (0, 0, 1)))
+SHIFTED = FirstMoveMap(tuple((t, concat(Word(2, (1,)), t)) for t in TEETH))
+SWAPPED = FirstMoveMap(tuple(zip(TEETH, TEETH[::-1])))
 
 
 def garbage_after(call) -> int:
@@ -87,6 +100,10 @@ CASES = {
     "partition_from_type": lambda: partition_from_type(enumerate_types(4)[5]),
     "verify_convergence": lambda: verify_convergence(GEN, SPACE, TESTS),
     "separate_points": lambda: separate_points(POINTS, SPACE),
+    "pattern_hit": lambda: find_pattern(NOISE + TEETH, Comb(0, 1), 3, 2),
+    "pattern_miss": lambda: find_pattern(NOISE + PACKED, Comb(0, 1), 3, 2),
+    "first_move_valid": lambda: check_first_move_map(SHIFTED),
+    "first_move_invalid": lambda: check_first_move_map(SWAPPED),
 }
 
 
@@ -98,6 +115,10 @@ def test_library_call_leaves_no_cycles(name):
 def test_search_cases_take_both_outcomes():
     assert search_reduction(RESTRICTED.table, G, 3) is not None
     assert search_reduction(SOLO, LOPSIDED, 3) is None
+    assert find_pattern(NOISE + TEETH, Comb(0, 1), 3, 2) is not None
+    assert find_pattern(NOISE + PACKED, Comb(0, 1), 3, 2) is None
+    assert check_first_move_map(SHIFTED).valid
+    assert not check_first_move_map(SWAPPED).valid
 
 
 @pytest.mark.parametrize("mode", ["search_hit", "search_miss", "check", "construct"])

@@ -1,7 +1,9 @@
 """Comb prototypes, first-move equivalence, pattern search, generators."""
 
+import collections
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -30,7 +32,8 @@ from madic import (
     meet_closure,
     well_order_key,
 )
-from conftest import random_branch, random_word
+from madic import patterns
+from conftest import find_pattern_oracle, first_move_oracle, random_branch, random_word
 
 W2 = lambda *letters: Word(2, letters)
 
@@ -309,6 +312,111 @@ def test_found_subsets_always_revalidate():
         if got is not None:
             assert set(got.nodes) <= nodes
             assert check_first_move_map(got.map).valid
+
+
+def _counted(calls, check):
+    """check, appending each map it is given to calls."""
+
+    def run(fmm):
+        calls.append(fmm)
+        return check(fmm)
+
+    return run
+
+
+def test_miss_among_short_words_prunes_growing_tuples(monkeypatch):
+    # No (0,1,0,1)-double comb of size 2 lies among the 63 binary words of
+    # length at most 5.  Tuples grow only while they match the prototype's
+    # first teeth, so the search checks far fewer maps than the C(63, 4)
+    # candidate tuples.
+    pool = [W2(*ls) for n in range(6) for ls in itertools.product(range(2), repeat=n)]
+    calls = []
+    monkeypatch.setattr(
+        patterns, "check_first_move_map", _counted(calls, check_first_move_map)
+    )
+    assert find_pattern(pool, DoubleComb(0, 1, 0, 1), 2, 2) is None
+    assert len(calls) < math.comb(63, 4) // 20
+
+
+# -- agreement with the unpruned rule ----------------------------------------------
+
+
+def _perturbed(rng: random.Random, w: Word) -> Word:
+    """w with one letter appended, dropped or changed."""
+    letters = list(w.letters)
+    op = rng.randrange(3)
+    if op == 0 or not letters:
+        letters.append(rng.randrange(w.m))
+    elif op == 1:
+        del letters[rng.randrange(len(letters))]
+    else:
+        letters[rng.randrange(len(letters))] = rng.randrange(w.m)
+    return Word(w.m, tuple(letters))
+
+
+def _oracle_map(rng: random.Random) -> FirstMoveMap:
+    """2 to 6 nodes over 2 or 3 letters, mapped to a shifted copy with one
+    target perturbed, or to random words.  Raises ValueError when two
+    targets coincide."""
+    m, count = rng.randint(2, 3), rng.randint(2, 6)
+    nodes = set()
+    while len(nodes) < count:
+        nodes.add(random_word(rng, m, 4))
+    if rng.random() < 0.6:
+        shift = random_word(rng, m, 2)
+        targets = [concat(shift, w) for w in nodes]
+        k = rng.randrange(count)
+        targets[k] = _perturbed(rng, targets[k])
+    else:
+        targets = [random_word(rng, m, 5) for _ in nodes]
+    return FirstMoveMap(tuple(zip(nodes, targets)))
+
+
+def test_check_matches_unpruned_oracle():
+    # The oracle checks condition 3 on every pair of the meet closure, in
+    # both orientations; the check must give the same condition, witness
+    # and extension from the domain's pairs alone.
+    rng = random.Random(21)
+    outcomes = collections.Counter()
+    while sum(outcomes.values()) < 10_000:
+        try:
+            fmm = _oracle_map(rng)
+        except ValueError:
+            continue
+        got = check_first_move_map(fmm)
+        assert got == first_move_oracle(fmm), fmm
+        outcomes[got.condition] += 1
+    assert set(outcomes) == {None, 1, 2, 3}
+
+
+def _random_kind(rng: random.Random, m: int):
+    kind = rng.choice((Comb, DoubleComb, SplitDoubleComb))
+    if kind is SplitDoubleComb:
+        u, v = rng.sample(range(m), 2)
+        return kind(u, v, *(rng.randrange(m) for _ in range(4)))
+    return kind(*(rng.randrange(m) for _ in range(2 if kind is Comb else 4)))
+
+
+def test_find_pattern_matches_unpruned_oracle():
+    # The oracle screens every C(pool, k) tuple pairwise, then checks it;
+    # the pruned search must return the same first match.  A planted
+    # shifted prototype always matches.
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(600):
+        m = rng.randint(2, 3)
+        kind, size = _random_kind(rng, m), rng.randint(1, 3)
+        pool = {random_word(rng, m, 5) for _ in range(rng.randint(2, 8))}
+        planted = rng.random() < 0.5
+        if planted:
+            shift = random_word(rng, m, 2)
+            pool |= {concat(shift, t) for t in canonical_pattern(kind, size, m)}
+        got = find_pattern(pool, kind, size, m)
+        assert got == find_pattern_oracle(pool, kind, size, m), (pool, kind, size)
+        seen.add((type(kind), planted, got is not None))
+    outcomes = ((False, False), (False, True), (True, True))
+    kinds = (Comb, DoubleComb, SplitDoubleComb)
+    assert seen == {(k, planted, hit) for k in kinds for planted, hit in outcomes}
 
 
 # -- subtree embeddings ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madic import reductions
 from madic.cli import render_type_table
 from madic.dense_types import (
     DenseType,
@@ -163,6 +165,30 @@ class TestValidateType:
         t = dt(3, c=(0, 1), d=(2,), blocks=((0, 1),), gamma=((2, 0),))
         problems = validate_type(t)
         assert any("must be empty" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "t, problems",
+        [
+            (
+                dt(3, a=(0,), c=(1, 2), blocks=((1, 1), (2,))),
+                [
+                    "block (1, 1) must have one or two distinct colours",
+                    "blocks must partition C",
+                ],
+            ),
+            (
+                dt(4, a=(0,), c=(1, 2, 3), blocks=((1, 2), (2, 3))),
+                ["block (2, 3) overlaps another block"],
+            ),
+            (dt(3, a=(0,), c=(1, 2), blocks=((1,),)), ["blocks must partition C"]),
+            (dt(2, a=(0,), d=(1,)), ["gamma must be defined on exactly D"]),
+        ],
+    )
+    def test_block_and_gamma_messages(self, t, problems):
+        assert validate_type(t) == problems
+        for build in (canonical_form, partition_from_type):
+            with pytest.raises(TypeError_, match="^" + re.escape("; ".join(problems)) + "$"):
+                build(t)
 
     def test_partition_from_invalid_type_raises(self):
         with pytest.raises(TypeError_):
@@ -648,6 +674,15 @@ class TestRestrictColors:
             restrict_colors(P20, 2)
         with pytest.raises(ReductionError):
             restrict_colors(P20, 0)
+
+    def test_corrupt_incidence_table_is_caught(self, monkeypatch):
+        # The table is read off the chain, so check_reduces compares two
+        # separate computations: a transposed incidence table fails it.
+        g = partition_from_type(enumerate_types(4)[0])[1]
+        real = reductions.apply_reduction
+        monkeypatch.setattr(reductions, "apply_reduction", lambda r: tuple(zip(*real(r))))
+        with pytest.raises(ReductionError, match="restriction is not verified"):
+            restrict_colors(g, 2)
 
     def test_single_letter_table_rejected(self):
         with pytest.raises(ReductionError):

@@ -109,6 +109,12 @@ class TestTableValidation:
             for i, j in cells:
                 assert t.colors[t.class_index(i, j)] == t.color(i, j)
 
+    def test_table_and_family_need_a_positive_alphabet(self):
+        with pytest.raises(SpaceError, match="^alphabet size must be positive$"):
+            PartitionTable(0, ())
+        with pytest.raises(SpaceError, match="^alphabet size must be positive$"):
+            DisjointFamily(0, ())
+
     def test_family_rejects_overlap(self):
         with pytest.raises(SpaceError):
             DisjointFamily(3, (frozenset({0, 1}), frozenset({1})))

@@ -47,6 +47,11 @@ def test_word_rejects_out_of_range_letters():
         Word(0, ())
 
 
+def test_branch_requires_positive_alphabet():
+    with pytest.raises(AlphabetError, match="^alphabet size must be positive, got 0$"):
+        Branch(0, (), (0,))
+
+
 def test_branch_requires_nonempty_period():
     with pytest.raises(AlphabetError):
         Branch(2, (0,), ())
