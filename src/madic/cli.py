@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .spaces import (
     separate_points,
     verify_convergence,
 )
-from .words import Word, well_order_key
+from .words import Word
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -168,13 +169,13 @@ def _load_space(args: argparse.Namespace):
 
 
 def _default_tests(space, gen: CombGenerator) -> list:
+    # The root, then the one- and two-letter nodes: the well order.
     m = space.m
-    words = [Word(m)]
-    for a in range(m):
-        words.append(Word(m, (a,)))
-        for b in range(m):
-            words.append(Word(m, (a, b)))
-    tests: list = [NodeTest(w) for w in sorted(words, key=well_order_key)]
+    tests: list = [
+        NodeTest(Word(m, letters))
+        for length in range(3)
+        for letters in itertools.product(range(m), repeat=length)
+    ]
     tests.extend(ClassTest(gen.branch, c) for c in range(space.n))
     return tests
 

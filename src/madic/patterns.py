@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .words import (
+    AlphabetError,
     Branch,
     Word,
     _check_letters,
@@ -105,6 +106,8 @@ class FirstMoveMap:
         targets = [t for _, t in self.pairs]
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
             raise ValueError("first-move map pairs must form a bijection")
+        if len({w.m for w in sources + targets}) > 1:
+            raise AlphabetError("first-move map words must share one alphabet")
 
     @property
     def mapping(self) -> dict[Word, Word]:
@@ -194,7 +197,11 @@ def find_pattern(
     matches.
     """
     pattern = canonical_pattern(kind, size, m)
-    return _extend(pattern, sorted(set(nodes), key=well_order_key), 0, ())
+    pool = sorted(set(nodes), key=well_order_key)
+    for w in pool:
+        if w.m != m:
+            raise AlphabetError(f"node {w!r} is not over the pattern's {m} letters")
+    return _extend(pattern, pool, 0, ())
 
 
 def _extend(
@@ -238,6 +245,8 @@ class CombGenerator:
         _check_letters((self.i, self.j), self.branch.m)
         if not self.depths:
             raise GeneratorError("generator needs at least one depth")
+        if self.depths[0] < 0:
+            raise GeneratorError("depths must be nonnegative")
         prev = -1
         for d in self.depths:
             if d <= prev:

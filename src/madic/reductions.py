@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .spaces import PartitionTable
-from .words import Branch, Word, incidence
+from .words import Branch, Word, _first_moves
 
 
 class ReductionError(ValueError):
@@ -69,10 +69,8 @@ def apply_reduction(r: ReductionData) -> tuple[tuple[tuple[int, int], ...], ...]
     off-diagonal pairs themselves.
 
     Each entry is incidence(e(u), e(v)), or incidence(e(u), x) on the
-    diagonal, read from letters: the letter pair at the first position
-    where the operands differ, or (i, i) for the letter i of e(u) at |x|
-    when x is a prefix of e(u).  ReductionData makes that position exist:
-    the letter words are distinct and of one length, and x is shorter.
+    diagonal, read from letters.  ReductionData makes it defined: the
+    letter words are distinct and of one length, and x is shorter.
     """
     e = [w.letters for w in r.e]
     x = r.x.letters
@@ -80,15 +78,6 @@ def apply_reduction(r: ReductionData) -> tuple[tuple[tuple[int, int], ...], ...]
         tuple(_first_moves(a, x if u == v else b) for v, b in enumerate(e))
         for u, a in enumerate(e)
     )
-
-
-def _first_moves(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
-    """incidence of letter tuples a and b, where b is a shorter tuple or
-    one that differs from a."""
-    for i, j in zip(a, b):
-        if i != j:
-            return (i, j)
-    return (a[len(b)], a[len(b)])
 
 
 def check_reduces(f: PartitionTable, g: PartitionTable, r: ReductionData) -> bool:
@@ -129,48 +118,45 @@ def search_reduction(
         raise ReductionError("max_k must be at least 1")
     if not set(f.colors) <= set(g.colors):
         return None
-    m0, m1 = f.m, g.m
-    fc = [[f.color(u, v) for v in range(m0)] for u in range(m0)]
-    for k in range(1, min(max_k, m0 + 1) + 1):
-        words = [Word(m1, ls) for ls in itertools.product(range(m1), repeat=k)]
-        anchors = [
-            Word(m1, ls)
-            for length in range(k)
-            for ls in itertools.product(range(m1), repeat=length)
-        ]
+    m1, gv = g.m, g.values
+    for k in range(1, min(max_k, f.m + 1) + 1):
+        words = list(itertools.product(range(m1), repeat=k))
+        anchors = [x for n in range(k) for x in itertools.product(range(m1), repeat=n)]
         for x in anchors:
-            diag = [g.color(*incidence(w, x)) for w in words]
-            found = _place(0, [], words, diag, fc, g, x)
+            diag = [gv[i][j] for i, j in (_first_moves(w, x) for w in words)]
+            found = _place(0, [], words, diag, f.values, gv)
             if found is not None:
-                return found
+                e = tuple(Word(m1, words[w]) for w in found)
+                return ReductionData(e, Word(m1, x))
     return None
 
 
 def _place(
     u: int,
     chosen: list[int],
-    words: list[Word],
+    words: list[tuple[int, ...]],
     diag: list[int],
-    fc: list[list[int]],
-    g: PartitionTable,
-    x: Word,
-) -> Optional[ReductionData]:
+    fv: tuple[tuple[int, ...], ...],
+    gv: tuple[tuple[int, ...], ...],
+) -> Optional[list[int]]:
     """Place letter words u, u + 1, ... after the indices in chosen, in
-    candidate order, and return the first witness.  It takes its state as
-    arguments because a nested function that calls itself is a reference
-    cycle, which only the cyclic garbage collector frees."""
-    if u == len(fc):
-        return ReductionData(tuple(words[i] for i in chosen), x)
+    candidate order, and return their indices.  Distinct words of one
+    length swap their first moves with the order, so one pair gives both
+    colours.  It takes its state as arguments because a nested function
+    that calls itself is a reference cycle, which only the cyclic garbage
+    collector frees."""
+    if u == len(fv):
+        return chosen
     for w in range(len(words)):
-        if diag[w] != fc[u][u] or w in chosen:
+        if diag[w] != fv[u][u] or w in chosen:
             continue
+        pairs = (_first_moves(words[w], words[wv]) for wv in chosen)
         if all(
-            g.color(*incidence(words[wv], words[w])) == fc[v][u]
-            and g.color(*incidence(words[w], words[wv])) == fc[u][v]
-            for v, wv in enumerate(chosen)
+            gv[i][j] == fv[u][v] and gv[j][i] == fv[v][u]
+            for v, (i, j) in enumerate(pairs)
         ):
             chosen.append(w)
-            hit = _place(u + 1, chosen, words, diag, fc, g, x)
+            hit = _place(u + 1, chosen, words, diag, fv, gv)
             if hit is not None:
                 return hit
             chosen.pop()

@@ -187,11 +187,23 @@ def _common(a: Element, b: Element) -> int | None:
         while k < n and a.letter(k) == b.letter(k):
             k += 1
         return None if k == n else k
-    xs, ys = a.head(n), b.head(n)
-    for i in range(n):
-        if xs[i] != ys[i]:
-            return i
-    return n
+    return _first_difference(a.head(n), b.head(n))
+
+
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Where finite letter tuples a and b first differ, or the length of
+    the shorter one when it is a prefix of the other."""
+    for k, i in enumerate(a):
+        if k == len(b) or i != b[k]:
+            return k
+    return len(a)
+
+
+def _first_moves(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
+    """incidence(a, b) on letter tuples that b does not extend: (a[k], b[k])
+    at the first difference k, or (a[k], a[k]) when b is a prefix of a."""
+    k = _first_difference(a, b)
+    return (a[k], a[k]) if k == len(b) else (a[k], b[k])
 
 
 def _ends(a: Element, k: int) -> bool:

@@ -500,6 +500,21 @@ class TestReduce:
             assert run(capsys, *argv)[:2] == (0, expected + "\n")
         assert all(cases.values()), cases
 
+    def test_search_matches_golden(self, capsys, write):
+        """Each golden line holds K, the colourings f and g, and the exit
+        code and stdout of `reduce --f f --g g --max-k K`: 1,000 seeded
+        random requests with m0 <= 3, m1 <= 4 and K <= 3, where f mostly
+        takes its colours from g's.  This pins the first witness."""
+        shapes, codes = set(), set()
+        for line in (GOLDEN / "reduce_search.txt").read_text().splitlines():
+            k, f, g, code, expected = line.split("\t")
+            shapes.add((json.loads(f)["m"], json.loads(g)["m"], int(k)))
+            codes.add(int(code))
+            argv = ["reduce", "--f", write("f.json", json.loads(f))]
+            argv += ["--g", write("g.json", json.loads(g)), "--max-k", k]
+            assert run(capsys, *argv)[:2] == (int(code), expected + "\n"), line
+        assert len(shapes) == 3 * 4 * 3 and codes == {0, 4}
+
     def test_construct_check_survives_python_o(self, write):
         # python -O strips assert statements; the reduction check must stay.
         g = write("g.json", {"m": 2, "n": 3, "values": [[0, 2], [2, 1]]})
@@ -596,6 +611,8 @@ class TestValidationExits:
         "i5": dict(GEN_DOC, i=5),
         "j7": {"branch": GEN_DOC["branch"], "i": 0, "j": 7, "depths": [0, 1]},
         "empty": {"branch": GEN_DOC["branch"], "i": 0, "j": 1, "depths": []},
+        "negative": {"branch": GEN_DOC["branch"], "i": 0, "j": 1, "depths": [-2]},
+        "repeated": {"branch": GEN_DOC["branch"], "i": 0, "j": 1, "depths": [1, 1]},
         "zero": dict(GEN_DOC, count=0),
         "zero_i5": dict(GEN_DOC, count=0, i=5),
     }
@@ -632,6 +649,8 @@ class TestValidationExits:
             (CONVERGE + ("{zero}",), "tooth count must be positive"),
             (CONVERGE + ("{zero_i5}",), "tooth count must be positive"),
             (CONVERGE + ("{gen}", "--horizon", "0"), "horizon must be at least 1"),
+            (CONVERGE + ("{negative}",), "depths must be nonnegative"),
+            (CONVERGE + ("{repeated}",), "depths must be strictly increasing"),
         ],
     )
     def test_exits_3_with_message(self, capsys, write, argv, message):

@@ -148,6 +148,12 @@ def test_non_bijective_map_rejected():
         FirstMoveMap(((W2(0), W2(1)), (W2(1), W2(1))))
 
 
+def test_map_across_alphabets_rejected():
+    pairs = ((W2(0), Word(3, (0,))), (W2(1), Word(3, (1,))))
+    with pytest.raises(AlphabetError, match="share one alphabet"):
+        FirstMoveMap(pairs)
+
+
 def test_valid_extension_covers_closures():
     pattern = canonical_pattern(Comb(0, 1), 3, 2)
     shifted = tuple(concat(W2(1), t) for t in pattern)
@@ -286,6 +292,11 @@ def test_find_pattern_rejects_well_order_flip():
     # (1) compare the other way round after mapping, so this is no comb
     nodes = {W2(1), W2(0, 1, 1), W2(0, 0, 0, 1)}
     assert find_pattern(nodes, Comb(0, 1), 3, 2) is None
+
+
+def test_find_pattern_refuses_nodes_over_another_alphabet():
+    with pytest.raises(AlphabetError, match="not over the pattern's 2 letters"):
+        find_pattern([Word(3, (2,))], Comb(0, 1), 1, 2)
 
 
 def test_find_pattern_rejects_chain():
