@@ -8,10 +8,11 @@ formula.  A least relabelling puts the roles on consecutive colour
 ranges, and fixes every role's order but A's in closed form: B in the
 order psi first takes its colours, singleton blocks before pairs, D by
 gamma value and E by descending number of gamma preimages.  So
-enumeration walks the role sizes (a, b, c, d, e), builds only types
-already in those forms, and searches the orders of A to keep one
-canonical representative per relabelling class, giving exactly 2, 3, 8
-and 23 types on 2, 3, 4 and 5 colours.
+enumeration walks only the role sizes (a, b, c, d, e) that admit a
+valid type and builds only types already in those forms.  It keeps a
+type when no order of A gives it a smaller key, so every kept type is
+already the canonical representative of its relabelling class, giving
+exactly 2, 3, 8 and 23 types on 2, 3, 4 and 5 colours.
 """
 
 from madic import enumerate_types, partition_from_type, validate_type

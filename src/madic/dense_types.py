@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .spaces import PartitionTable
 
@@ -81,6 +82,8 @@ def validate_type(t: DenseType) -> list[str]:
     psi = t.psi_map
     if set(psi) != pairs:
         out.append("psi must be defined on exactly the ordered pairs of A")
+    if len(psi) != len(t.psi):
+        out.append("each ordered pair of A needs exactly one psi value")
     if not set(psi.values()) <= B:
         out.append("psi values must lie in B")
     if set(psi.values()) != B:
@@ -98,6 +101,8 @@ def validate_type(t: DenseType) -> list[str]:
     gamma = t.gamma_map
     if set(gamma) != D:
         out.append("gamma must be defined on exactly D")
+    if len(gamma) != len(t.gamma):
+        out.append("each colour of D needs exactly one gamma value")
     if not set(gamma.values()) <= B | E:
         out.append("gamma values must lie in B or E")
     for k in t.E:
@@ -146,29 +151,34 @@ def canonical_form(t: DenseType) -> DenseType:
       type);
     - D goes by ascending gamma value, once the A order is chosen.
 
-    So the key of an A order is psi's values and gamma's sorted values.
+    So the key of an A order is psi's values and gamma's sorted values.  A
+    type that is already its least relabelling is returned as it is.
     """
     problems = validate_type(t)
     if problems:
         raise TypeError_("; ".join(problems))
-    psi, gamma = t.psi_map, t.gamma_map
+    a, psi, gamma = len(t.A), t.psi_map, t.gamma_map
     preimages = Counter(gamma.values())
     e_order = sorted(t.E, key=lambda k: -preimages[k])
-    e_label = {k: t.n - len(t.E) + r for r, k in enumerate(e_order)}
-    pairs = list(itertools.permutations(range(len(t.A)), 2))
+    label = dict(zip(e_order, range(t.n - len(t.E), t.n)))
+    b_labels = range(a, a + len(t.B))
+    pairs = list(itertools.permutations(range(a), 2))
     best = None
     for order in itertools.permutations(t.A):
         seen = [psi[order[i], order[j]] for i, j in pairs]
-        b_order = list(dict.fromkeys(seen))
-        label = {k: len(t.A) + r for r, k in enumerate(b_order)} | e_label
-        key = ([label[v] for v in seen], sorted(label[v] for v in gamma.values()))
+        b_order = tuple(dict.fromkeys(seen))
+        label.update(zip(b_order, b_labels))
+        key = [label[v] for v in seen], sorted(map(label.__getitem__, gamma.values()))
         if best is None or key < best[0]:
-            best = key, order, b_order, label
-    _, order, b_order, label = best
+            best = key, order, b_order
+    _, order, b_order = best
+    label.update(zip(b_order, b_labels))
     singles = [blk[0] for blk in t.blocks if len(blk) == 1]
     doubles = [k for blk in t.blocks if len(blk) == 2 for k in blk]
     linked = sorted(t.D, key=lambda k: label[gamma[k]])
     ranked = [*order, *b_order, *singles, *doubles, *linked, *e_order]
+    if ranked == list(range(t.n)):
+        return t
     return permute_type(t, [ranked.index(c) for c in range(t.n)])
 
 
@@ -178,42 +188,94 @@ def enumerate_types(n: int) -> tuple[DenseType, ...]:
 
     Every class has a member in canonical_form's closed forms for B, C, D
     and E, so only those candidates are built, for each composition
-    (a, b, c, d, e) of n with roles on consecutive colour ranges: psi
-    whose values first take the B colours in ascending order, one block
-    layout per number of pairs, and gamma with ascending values.  Only
-    the order of A is left to canonical_form.  Every candidate is valid:
-    with A empty, B, D and E are empty and every block is a pair, as
-    validate_type asks.
+    (a, b, c, d, e) of n that admits a valid type, with roles on
+    consecutive colour ranges: psi whose values first take the B colours
+    in ascending order, one block layout per number of pairs, and gamma
+    with ascending values and E colours by descending number of
+    preimages.  Such a candidate is its own least relabelling exactly when
+    no order of A gives a smaller key, so only those are kept, and no two
+    kept candidates are relabellings of each other.  Every output is
+    checked by canonical_form, which validates it too.
     """
     if n < 2:
         raise TypeError_("need at least two colours")
-    found: set[DenseType] = set()
-    for sizes in itertools.product(range(n + 1), repeat=4):
-        if sum(sizes) > n:
-            continue
-        A, B, C, D, E = _role_ranges(sizes + (n - sum(sizes),))
-        if not A and (B or D or E):
-            continue
-        pairs = list(itertools.permutations(A, 2))
-        psis = [
-            values
-            for values in itertools.product(B, repeat=len(pairs))
-            if tuple(dict.fromkeys(values)) == B
-        ]
+    found: list[DenseType] = []
+    for sizes in _compositions(n):
+        A, B, C, D, E = _role_ranges(sizes)
         layouts = [
             [(k,) for k in C[:s]] + [(k, k + 1) for k in C[s::2]]
             for s in range(len(C) % 2, len(C) + 1 if A else 1, 2)
         ]
-        gammas = [
-            values
-            for values in itertools.combinations_with_replacement(B + E, len(D))
-            if all(values.count(k) >= 2 for k in E)
-        ]
-        for values, blocks, linked in itertools.product(psis, layouts, gammas):
-            psi = tuple((i, j, v) for (i, j), v in zip(pairs, values))
-            t = DenseType(n, A, B, C, D, E, psi, blocks, tuple(zip(D, linked)))
-            found.add(canonical_form(t))
+        gammas = []
+        for values in itertools.combinations_with_replacement(B + E, len(D)):
+            counts = [values.count(k) for k in E]
+            if counts == sorted(counts, reverse=True) and min(counts, default=2) >= 2:
+                gammas.append(values)
+        for psi, relabels in _least_psis(A, B):
+            for linked in gammas:
+                if any(
+                    tuple(sorted(label.get(v, v) for v in linked)) < linked
+                    for label in relabels
+                ):
+                    continue
+                gamma = tuple(zip(D, linked))
+                for blocks in layouts:
+                    t = DenseType(n, A, B, C, D, E, psi, blocks, gamma)
+                    if canonical_form(t) != t:
+                        raise TypeError_("internal invariant failed: not canonical")
+                    found.append(t)
     return tuple(sorted(found))
+
+
+def _compositions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Role sizes (a, b, c, d, e) of n that admit a valid type.
+
+    Psi maps the a(a - 1) ordered pairs of A onto B, so B is nonempty
+    exactly when A has two colours, and no larger than those pairs.  Each
+    E colour takes two gamma values, so 2e <= d, and gamma needs B or E
+    when D is nonempty.  With A empty, B, D and E are empty and C pairs up.
+    """
+    for a in range(n + 1):
+        for b in range(1 if a >= 2 else 0, min(a * (a - 1), n - a) + 1):
+            for d in range(n - a - b + 1 if a else 1):
+                low = 1 if d and not b else 0
+                for e in range(low, min(d // 2, n - a - b - d) + 1):
+                    c = n - a - b - d - e
+                    if a or c % 2 == 0:
+                        yield a, b, c, d, e
+
+
+def _least_psis(
+    A: tuple[int, ...], B: tuple[int, ...]
+) -> Iterator[tuple[tuple[tuple[int, int, int], ...], list[dict[int, int]]]]:
+    """Maps psi from the ordered pairs of A = (0, ..., a - 1) onto B whose
+    values, read along the sorted pairs, first take the B colours in
+    ascending order, and that no order of A lowers in canonical_form's
+    key.  Each comes with the relabellings of B by the orders of A that
+    keep those values, other than the identity; they may still lower
+    gamma.  The check of an order stops at the first smaller key.
+    """
+    pairs = list(itertools.permutations(A, 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    readers = [
+        itemgetter(*(index[o[i], o[j]] for i, j in pairs))
+        for o in itertools.islice(itertools.permutations(A), 1, None)
+    ]
+    for values in itertools.product(B, repeat=len(pairs)):
+        if tuple(dict.fromkeys(values)) != B:
+            continue
+        relabels = []
+        for read in readers:
+            seen = read(values)
+            order = tuple(dict.fromkeys(seen))
+            label = dict(zip(order, B))
+            key = seen if order == B else tuple(map(label.__getitem__, seen))
+            if key < values:
+                break
+            if key == values and order != B:
+                relabels.append(label)
+        else:
+            yield tuple((i, j, v) for (i, j), v in zip(pairs, values)), relabels
 
 
 # -- the induced alphabet and colouring ---------------------------------------

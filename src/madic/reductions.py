@@ -86,13 +86,12 @@ def check_reduces(f: PartitionTable, g: PartitionTable, r: ReductionData) -> boo
         raise ReductionError(f"f is over {f.m} letters but the embedding has {r.m0}")
     if g.m != r.m1:
         raise ReductionError(f"g is over {g.m} letters but the embedding uses {r.m1}")
-    eps = apply_reduction(r)
-    for u in range(f.m):
-        for v in range(f.m):
-            i, j = eps[u][v]
-            if f.color(u, v) != g.color(i, j):
-                return False
-    return True
+    eps, fv, gv = apply_reduction(r), f.values, g.values
+    return all(
+        fv[u][v] == gv[i][j]
+        for u, row in enumerate(eps)
+        for v, (i, j) in enumerate(row)
+    )
 
 
 def search_reduction(
@@ -186,53 +185,55 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     is x = v_0 v_1 ..., and letter word r is x[:r] u_r padded with 0, so it
     shows g(u_r, v_r) on the diagonal and toward later words, which show
     g(v_r, u_r) toward it.  When at most n0 colours appear off the
-    diagonal, the pairs are the least one of each such colour, and words
-    x w on diagonal letters w add the rest, with g(w, w') among them;
-    otherwise pairs collect colours greedily up to the target count.  f
-    is read off the chain and checked against g o eps by check_reduces.
+    diagonal, the pairs are the first one of each such colour in g's
+    values, and words x w on diagonal letters w add the rest, with
+    g(w, w') among them; otherwise pairs collect colours greedily up to
+    the target count.  f is read off the chain's two colour lists and
+    checked against g o eps by check_reduces.
     """
     if g.m < 2:
         raise ReductionError("need at least two letters to restrict colours")
+    if g.n < 2:
+        raise ReductionError("a one-colour table has no smaller colour count")
     if not 1 <= n0 < g.n:
         raise ReductionError(f"colour target must be in 1..{g.n - 1}, got {n0}")
-    pairs = list(itertools.permutations(range(g.m), 2))
-    off = sorted({g.color(*p) for p in pairs})
+    gv, letters = g.values, range(g.m)
+    # The first pair of each off-diagonal colour, in one pass: a later
+    # pair of the same colour is overwritten by an earlier one.
+    first = {
+        gv[u][v]: (u, v) for u in reversed(letters) for v in reversed(letters) if u != v
+    }
     diags: list[int] = []
-    if len(off) <= n0:
-        extra = [c for c in g.colors if c not in off][: n0 - len(off)]
-        if len(extra) < n0 - len(off):
+    if len(first) <= n0:
+        on = {gv[w][w]: w for w in reversed(letters)}
+        extra = [c for c in g.colors if c not in first][: n0 - len(first)]
+        if len(extra) < n0 - len(first):
             raise ReductionError("internal invariant failed: not enough colours")
-        splits = [next(p for p in pairs if g.color(*p) == c) for c in off]
-        diags = [min(w for w in range(g.m) if g.color(w, w) == c) for c in extra]
+        splits = [first[c] for c in sorted(first)]
+        diags = [on[c] for c in extra]
     else:
         splits, seen = [], set[int]()
-        for u, v in pairs:
+        for u, v in itertools.permutations(letters, 2):
             if len(seen) >= n0 - 1:
                 break
-            new = {g.color(u, v), g.color(v, u)} - seen
+            new = {gv[u][v], gv[v][u]} - seen
             if new:
                 splits.append((u, v))
                 seen |= new
         # The last pair adds one missing colour, or repeats the first pair
         # when the greedy pairs already reach n0.
         if len(seen) < n0:
-            splits.append(next(p for p in pairs if g.color(*p) not in seen))
+            splits.append(min(p for c, p in first.items() if c not in seen))
         else:
             splits.append(splits[0])
     x = tuple(v for _, v in splits)
     e = [x[:r] + (u,) + (0,) * (len(x) - r) for r, (u, _) in enumerate(splits)]
     e += [x + (w,) for w in diags]
     reduction = ReductionData(tuple(Word(g.m, w) for w in e), Word(g.m, x))
-    values = tuple(
-        tuple(
-            g.color(*(splits[a] if a <= b else splits[b][::-1]))
-            if min(a, b) < len(x)
-            else g.color(diags[a - len(x)], diags[b - len(x)])
-            for b in range(len(e))
-        )
-        for a in range(len(e))
-    )
-    table = PartitionTable(len(e), values)
+    back = tuple(gv[v][u] for u, v in splits)
+    values = [back[:a] + (gv[u][v],) * (len(e) - a) for a, (u, v) in enumerate(splits)]
+    values += [back + tuple(gv[w][w2] for w2 in diags) for w in diags]
+    table = PartitionTable(len(e), tuple(values))
     if len(table.colors) != n0 or not check_reduces(table, g, reduction):
         raise ReductionError("internal invariant failed: restriction is not verified")
     return RestrictionResult(table, reduction)

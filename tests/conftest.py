@@ -28,9 +28,12 @@ from madic import (
     PatternMatch,
     PrefixRelation,
     ReductionData,
+    ReductionError,
+    RestrictionResult,
     StabilizationReport,
     Word,
     canonical_pattern,
+    check_reduces,
     incidence,
     meet,
     prefix_cmp,
@@ -438,3 +441,54 @@ def find_pattern_oracle(nodes, kind, size: int, m: int):
         if first_move_oracle(fmm).valid:
             return PatternMatch(cand, fmm)
     return None
+
+
+def restrict_colors_oracle(g: PartitionTable, n0: int) -> RestrictionResult:
+    """restrict_colors as it was before it read its splitting pairs and its
+    table from g.values in one pass: each colour's least pair found by a
+    scan of all pairs, and every entry read through g.color."""
+    if g.m < 2:
+        raise ReductionError("need at least two letters to restrict colours")
+    if not 1 <= n0 < g.n:
+        raise ReductionError(f"colour target must be in 1..{g.n - 1}, got {n0}")
+    pairs = list(itertools.permutations(range(g.m), 2))
+    off = sorted({g.color(*p) for p in pairs})
+    diags: list[int] = []
+    if len(off) <= n0:
+        extra = [c for c in g.colors if c not in off][: n0 - len(off)]
+        if len(extra) < n0 - len(off):
+            raise ReductionError("internal invariant failed: not enough colours")
+        splits = [next(p for p in pairs if g.color(*p) == c) for c in off]
+        diags = [min(w for w in range(g.m) if g.color(w, w) == c) for c in extra]
+    else:
+        splits, seen = [], set[int]()
+        for u, v in pairs:
+            if len(seen) >= n0 - 1:
+                break
+            new = {g.color(u, v), g.color(v, u)} - seen
+            if new:
+                splits.append((u, v))
+                seen |= new
+        # The last pair adds one missing colour, or repeats the first pair
+        # when the greedy pairs already reach n0.
+        if len(seen) < n0:
+            splits.append(next(p for p in pairs if g.color(*p) not in seen))
+        else:
+            splits.append(splits[0])
+    x = tuple(v for _, v in splits)
+    e = [x[:r] + (u,) + (0,) * (len(x) - r) for r, (u, _) in enumerate(splits)]
+    e += [x + (w,) for w in diags]
+    reduction = ReductionData(tuple(Word(g.m, w) for w in e), Word(g.m, x))
+    values = tuple(
+        tuple(
+            g.color(*(splits[a] if a <= b else splits[b][::-1]))
+            if min(a, b) < len(x)
+            else g.color(diags[a - len(x)], diags[b - len(x)])
+            for b in range(len(e))
+        )
+        for a in range(len(e))
+    )
+    table = PartitionTable(len(e), values)
+    if len(table.colors) != n0 or not check_reduces(table, g, reduction):
+        raise ReductionError("internal invariant failed: restriction is not verified")
+    return RestrictionResult(table, reduction)

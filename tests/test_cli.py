@@ -534,6 +534,12 @@ class TestReduce:
         assert code == 3
         assert "error:" in err
 
+    def test_construct_from_one_colour_table(self, capsys, write):
+        g = write("g.json", {"m": 2, "values": [[0, 0], [0, 0]]})
+        code, out, err = run(capsys, "reduce", "--g", g, "--construct", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: a one-colour table has no smaller colour count\n"
+
     def test_missing_f_without_construct(self, capsys, write):
         code, _, _ = run(capsys, "reduce", "--g", write("g.json", P20_DOC))
         assert code == 3

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from madic import reductions
+from madic import dense_types, reductions
 from madic.cli import render_type_table
 from madic.dense_types import (
     DenseType,
@@ -48,6 +48,7 @@ from conftest import (
     random_word,
     range_types,
     relabelled_encoding,
+    restrict_colors_oracle,
     search_oracle,
 )
 
@@ -190,6 +191,27 @@ class TestValidateType:
             with pytest.raises(TypeError_, match="^" + re.escape("; ".join(problems)) + "$"):
                 build(t)
 
+    @pytest.mark.parametrize(
+        "t, problem",
+        [
+            (
+                dt(4, a=(0, 1), b=(2, 3), psi=((0, 1, 2), (0, 1, 3), (1, 0, 2))),
+                "each ordered pair of A needs exactly one psi value",
+            ),
+            (
+                dt(4, a=(0,), d=(1, 2), e=(3,), gamma=((1, 3), (2, 3), (1, 3))),
+                "each colour of D needs exactly one gamma value",
+            ),
+        ],
+        ids=["psi-pair-twice", "gamma-colour-twice"],
+    )
+    def test_entries_listed_twice(self, t, problem):
+        # The maps would keep one of the two values without notice.
+        assert validate_type(t) == [problem]
+        for build in (canonical_form, partition_from_type):
+            with pytest.raises(TypeError_, match=problem):
+                build(t)
+
     def test_partition_from_invalid_type_raises(self):
         with pytest.raises(TypeError_):
             partition_from_type(dt(2, c=(0, 1), blocks=((0,), (1,))))
@@ -203,6 +225,28 @@ class TestEnumerateTypes:
     def test_counts_match_burnside(self, n, count):
         assert burnside_count(n) == count
         assert len(enumerate_types(n)) == count
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_compositions_are_those_with_types(self, n):
+        walked = list(dense_types._compositions(n))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {s for s in compositions(n) if range_types(s)}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_canonical_check_per_type(self, n, monkeypatch):
+        # A work count that does not depend on machine speed: a rejected
+        # candidate is never handed to canonical_form.
+        calls = []
+        real = dense_types.canonical_form
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(dense_types, "canonical_form", counted)
+        types = enumerate_types(n)
+        assert len(calls) == len(types)
+        assert sorted(calls) == list(types)
 
     def test_rejects_degenerate_counts(self):
         with pytest.raises(TypeError_):
@@ -687,6 +731,41 @@ class TestRestrictColors:
     def test_single_letter_table_rejected(self):
         with pytest.raises(ReductionError):
             restrict_colors(PartitionTable(1, ((0,),)), 1)
+
+    def test_one_colour_table_rejected(self):
+        g = PartitionTable(2, ((3, 3), (3, 3)))
+        with pytest.raises(ReductionError, match="no smaller colour count"):
+            restrict_colors(g, 1)
+
+    @staticmethod
+    def check_against_oracle(g):
+        for n0 in range(1, g.n):
+            res, want = restrict_colors(g, n0), restrict_colors_oracle(g, n0)
+            assert (res.table, res.reduction) == (want.table, want.reduction)
+        return g.n - 1
+
+    def test_catalogue_matches_oracle(self):
+        calls = 0
+        for n in (2, 3, 4, 5):
+            for t in enumerate_types(n):
+                calls += self.check_against_oracle(partition_from_type(t)[1])
+        assert calls == 1 * 2 + 2 * 3 + 3 * 8 + 4 * 23
+
+    def test_random_tables_match_oracle(self):
+        # Colours are drawn from 0..9 in random order, so the colour set of
+        # a table need not start at 0 or be consecutive.
+        rng = random.Random(2300)
+        calls, shifted = 0, 0
+        for _ in range(2000):
+            m = rng.randint(2, 5)
+            n = rng.randint(2, min(7, m * m))
+            names = rng.sample(range(10), n)
+            base = random_table(rng, m, n)
+            values = tuple(tuple(names[c] for c in row) for row in base.values)
+            g = PartitionTable(m, values)
+            shifted += g.colors != tuple(range(n))
+            calls += self.check_against_oracle(g)
+        assert calls > 6000 and shifted > 1500
 
 
 # -- induced tree maps ----------------------------------------------------------------
