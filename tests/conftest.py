@@ -30,11 +30,13 @@ from madic import (
     ReductionData,
     ReductionError,
     RestrictionResult,
+    SpaceError,
     StabilizationReport,
     Word,
     canonical_pattern,
     check_reduces,
     incidence,
+    is_prefix,
     meet,
     prefix_cmp,
     validate_type,
@@ -195,6 +197,51 @@ def convergence_oracle(gen, space, tests, horizon=None) -> list:
             k0 = bad[-1] + 1 if bad else 0
             reports.append(StabilizationReport(test, lim_val, k0, horizon))
     return reports
+
+
+def partition_value_oracle(point, test, table) -> int:
+    """A partition-space value stated apart from the letter rules: node
+    points are prefix indicators; at a class test a limit point over the
+    tested branch reads its own class, any other point the class of its
+    incidence pair with the tested branch."""
+    if point == INFINITY:
+        raise SpaceError("partition spaces have no infinity point")
+    if isinstance(point, LimitPoint):
+        _check_class_oracle(point.cls, table.n)
+    other = point.word if isinstance(point, NodePoint) else point.branch
+    if isinstance(test, NodeTest):
+        return 1 if is_prefix(test.word, other) else 0
+    _check_class_oracle(test.cls, table.n)
+    if other == test.branch:
+        return 1 if point.cls == test.cls else 0
+    return 1 if table.class_index(*incidence(test.branch, other)) == test.cls else 0
+
+
+def scattered_value_oracle(point, test, family) -> int:
+    """A scattered-space value stated apart from the letter rules: a node
+    point is its own indicator at node tests and fires a class test when the
+    tested branch extends it by a letter of the tested set; a limit point is
+    the indicator of its own class test; the infinity point reads 0."""
+    if point == INFINITY:
+        return 0
+    if isinstance(point, NodePoint):
+        if isinstance(test, NodeTest):
+            return 1 if prefix_cmp(test.word, point.word) is PrefixRelation.EQUAL else 0
+        _check_class_oracle(test.cls, family.n)
+        if not is_prefix(point.word, test.branch):
+            return 0
+        i = test.branch.letter(len(point.word))
+        return 1 if i in family.classes[test.cls] else 0
+    _check_class_oracle(point.cls, family.n)
+    if isinstance(test, NodeTest):
+        return 0
+    _check_class_oracle(test.cls, family.n)
+    return 1 if (point.branch == test.branch and point.cls == test.cls) else 0
+
+
+def _check_class_oracle(cls: int, n: int) -> None:
+    if not 0 <= cls < n:
+        raise SpaceError(f"class index {cls} out of range 0..{n - 1}")
 
 
 def isolation_oracle(space, s: Word, point) -> bool:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from madic import codec
-from madic.cli import _default_tests, build_parser, main
+from madic.cli import _default_tests, build_parser, console_main, main
 from madic.dense_types import enumerate_types, partition_from_type
 from madic.patterns import GeneratorExhaustedError
 from madic.reductions import check_reduces
@@ -666,6 +666,32 @@ class TestValidationExits:
         assert err == f"error: {message}\n"
 
 
+class TestHugeColourCount:
+    """A declared colour count far past any table is compared as a count,
+    before a range of that size is built."""
+
+    N = 2**70
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "{big}"),
+            ("reduce", "--g", "{big}"),
+            ("converge", "--space", "partition", "--table", "{big}", "--generator", "{gen}"),
+            ("separate", "--space", "partition", "--table", "{big}", "--points", "{points}"),
+        ],
+    )
+    def test_exits_3(self, capsys, write, argv):
+        paths = {
+            "big": write("big.json", dict(P20_DOC, n=self.N)),
+            "gen": write("gen.json", GEN_DOC),
+            "points": write("points.json", TestSeparate.POINTS),
+        }
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (3, "")
+        assert err == f"error: table is not surjective onto 0..{self.N - 1}: colours (0, 1)\n"
+
+
 def run_python(*args):
     """Exit code, stdout and stderr of `python *args` in a new process that
     imports madic from this checkout."""
@@ -719,3 +745,19 @@ class TestParserReuse:
             codes.add(got[0])
         assert codes == {0, 2, 3, 4}
         assert build_parser.cache_info().misses <= 1
+
+
+class TestConsoleEntry:
+    def test_module_run_matches_golden(self):
+        assert run_python("-m", "madic.cli", "tables") == (
+            0,
+            (GOLDEN / "tables.txt").read_text(),
+            "",
+        )
+
+    def test_console_main_exits_with_the_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["madic", "enumerate", "--n", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            console_main()
+        assert exit_info.value.code == 2
+        assert "at least 2" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Symbolic points, evaluation, comb limits, separation and embeddings."""
 
+import collections
 import itertools
 import math
 import random
@@ -33,17 +34,19 @@ from madic.spaces import (
     split_embedding,
     verify_convergence,
 )
-from madic.words import AlphabetError, Branch, Word, is_prefix
+from madic.words import AlphabetError, Branch, Word, concat, is_prefix
 
 from conftest import (
     comb_limit_oracle,
     convergence_oracle,
     default_horizon,
     isolation_oracle,
+    partition_value_oracle,
     random_branch,
     random_family,
     random_table,
     random_word,
+    scattered_value_oracle,
 )
 
 ZEROS = Branch(2, (), (0,))
@@ -207,6 +210,127 @@ class TestScatteredEvaluation:
         assert space.value(p, ClassTest(ZEROS, 0)) == 1
         assert space.value(p, ClassTest(ONES, 0)) == 0
         assert space.value(p, NodeTest(w(0, 0))) == 0
+
+
+def _family_of_size(rng: random.Random, m: int, n: int) -> DisjointFamily:
+    """n pairwise disjoint nonempty sets of letters, not always covering."""
+    letters = list(range(m))
+    rng.shuffle(letters)
+    cuts = sorted(rng.sample(range(1, rng.randint(n, m) + 1), n)) if n else []
+    bounds = [0] + cuts
+    return DisjointFamily(m, tuple(frozenset(letters[a:b]) for a, b in zip(bounds, cuts)))
+
+
+def _value_draw(rng: random.Random):
+    """A space, one of its points, a test point over its alphabet and how
+    the two relate: the test word equals or is a prefix of the point, the
+    test branch is the limit's own or passes through the node, or neither."""
+    m = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        table = random_table(rng, m, rng.randint(1, min(m * m, 5)))
+        space, oracle, data = PartitionSpace(table), partition_value_oracle, table
+        point_kinds = ["node", "limit"]
+    else:
+        family = _family_of_size(rng, m, rng.randint(0, m))
+        space, oracle, data = ScatteredSpace(family), scattered_value_oracle, family
+        point_kinds = ["node", "limit", "infinity"] if family.n else ["node", "infinity"]
+    n = space.n
+    point_kind = rng.choice(point_kinds)
+    if point_kind == "node":
+        point = NodePoint(random_word(rng, m))
+        element = point.word
+    elif point_kind == "limit":
+        point = LimitPoint(random_branch(rng, m), rng.randrange(n))
+        element = point.branch
+    else:
+        point, element = INFINITY, None
+    if not n or rng.random() < 0.5:
+        if element is not None and rng.random() < 0.5:
+            word = element.prefix(rng.randint(0, 6))
+        else:
+            word = random_word(rng, m)
+        test = NodeTest(word)
+        if element is None:
+            relation = "none"
+        elif point_kind == "node" and word == element:
+            relation = "equal"
+        else:
+            relation = "prefix" if is_prefix(word, element) else "off"
+    else:
+        pick = rng.random()
+        if point_kind == "limit" and pick < 0.3:
+            # The same branch, described with one period unrolled.
+            y = Branch(m, element.stem + element.period, element.period)
+        elif point_kind == "node" and pick < 0.5:
+            y = concat(element, random_branch(rng, m))
+        else:
+            y = random_branch(rng, m)
+        test = ClassTest(y, rng.randrange(n))
+        if element is None:
+            relation = "none"
+        elif point_kind == "limit":
+            relation = "same" if y == element else "off"
+        else:
+            relation = "prefix" if is_prefix(element, y) else "off"
+    case = (type(space).__name__, point_kind, type(test).__name__, relation)
+    return space, oracle, data, point, test, case
+
+
+class TestOneValueRule:
+    """value reads the letter rules; the rules stated apart in conftest are
+    the reference."""
+
+    def test_matches_the_rules_stated_apart(self):
+        rng = random.Random(24)
+        cases, sizes = collections.Counter(), set()
+        for _ in range(24000):
+            space, oracle, data, point, test, case = _value_draw(rng)
+            assert space.value(point, test) == oracle(point, test, data), case
+            cases[case] += 1
+            sizes.add((type(space).__name__, space.m, space.n))
+        node_tests = {"equal", "prefix", "off"}
+        expected = set()
+        for kind in ("PartitionSpace", "ScatteredSpace"):
+            expected |= {(kind, "node", "NodeTest", r) for r in node_tests}
+            expected |= {(kind, "node", "ClassTest", r) for r in ("prefix", "off")}
+            expected |= {(kind, "limit", "NodeTest", r) for r in ("prefix", "off")}
+            expected |= {(kind, "limit", "ClassTest", r) for r in ("same", "off")}
+        expected |= {("ScatteredSpace", "infinity", t, "none") for t in ("NodeTest", "ClassTest")}
+        assert set(cases) == expected
+        assert min(cases.values()) >= 50
+        families = {(m, n) for kind, m, n in sizes if kind == "ScatteredSpace"}
+        assert families == {(m, n) for m in range(1, 5) for n in range(m + 1)}
+        assert {m for kind, m, n in sizes if kind == "PartitionSpace"} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "space, point, test, error",
+        [
+            # A point over three letters on a two-letter table.
+            (
+                PartitionSpace(P20),
+                NodePoint(Word(3, (2,))),
+                ClassTest(Branch(3, (), (0,)), 0),
+                AlphabetError,
+            ),
+            (PartitionSpace(P20), NodePoint(Word(3, (0,))), NodeTest(Word(3, ())), AlphabetError),
+            # The infinity point reads 0 only at tests of the space.
+            (
+                ScatteredSpace(DisjointFamily(2, (frozenset({0}),))),
+                INFINITY,
+                ClassTest(ZEROS, 7),
+                SpaceError,
+            ),
+            (
+                ScatteredSpace(DisjointFamily(2, (frozenset({0}),))),
+                LimitPoint(ZEROS, 0),
+                NodeTest(Word(5, ())),
+                AlphabetError,
+            ),
+        ],
+    )
+    def test_refuses_what_the_space_refuses(self, space, point, test, error):
+        with pytest.raises(error):
+            space.value(point, test)
 
 
 # -- comb limits and convergence ------------------------------------------------
@@ -537,8 +661,7 @@ class TestClosedFormConvergence:
     def test_teeth_read_only_to_the_deepest_decision(self, monkeypatch):
         # However many depths the generator lists, the certificate takes
         # its teeth from CombGenerator.teeth only up to the deepest
-        # decision depth, and the supply check stops at the first tooth
-        # past the stem.
+        # decision depth; the supply check reads the period, not the teeth.
         x = Branch(2, (1,), (0, 1))
         gen = CombGenerator.over(x, 0, 1, 5000)
         space = PartitionSpace(P20)
@@ -554,7 +677,7 @@ class TestClosedFormConvergence:
         monkeypatch.setattr(CombGenerator, "teeth", counted)
         reports = verify_convergence(gen, space, tests)
         assert reports == convergence_oracle(gen, space, tests)
-        assert taken == [1, 1, 3, 5]
+        assert taken == [1, 3, 5]
 
     def test_class_index_checked_without_teeth(self):
         # On its own branch the comb needs no tooth, and the scattered
