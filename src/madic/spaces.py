@@ -44,18 +44,13 @@ class PartitionTable:
 
     Colours need not form an initial segment: tables produced by restriction
     keep the colours of the table they came from.  Classes are indexed by
-    the position of their colour in ascending colour order.
+    the position of their colour in ascending colour order, so the pair
+    (i, j) lies in class c exactly when values[i][j] == colors[c].
     """
 
     m: int
     values: tuple[tuple[int, ...], ...]
-    _colors: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    # The class index of each letter pair, built once.
-    _index: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    colors: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -68,12 +63,8 @@ class PartitionTable:
                 if not isinstance(c, int) or c < 0:
                     raise SpaceError(f"colour {c!r} must be a nonnegative integer")
         colors = tuple(sorted({c for row in vals for c in row}))
-        index = vals  # colours 0..n-1 are their own class indices
-        if colors != tuple(range(len(colors))):
-            index = tuple(tuple(colors.index(c) for c in row) for row in vals)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_colors", colors)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "colors", colors)
 
     @classmethod
     def dense(
@@ -89,18 +80,11 @@ class PartitionTable:
         return table
 
     @property
-    def colors(self) -> tuple[int, ...]:
-        return self._colors
-
-    @property
     def n(self) -> int:
-        return len(self._colors)
+        return len(self.colors)
 
     def color(self, i: int, j: int) -> int:
         return self.values[i][j]
-
-    def class_index(self, i: int, j: int) -> int:
-        return self._index[i][j]
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,19 +153,18 @@ class ClassTest:
 TestPoint = Union[NodeTest, ClassTest]
 
 
-def _check_class(cls: int, n: int) -> None:
-    if not 0 <= cls < n:
-        raise SpaceError(f"class index {cls} out of range 0..{n - 1}")
-
-
-def _check_test(test: TestPoint, space: "Space") -> None:
-    """Raise SpaceError for a class index outside the space, then
-    AlphabetError for a test over another alphabet."""
-    if isinstance(test, NodeTest):
-        _same_alphabet(test.word, space)
+def _check_element(
+    item: Union[NodePoint, LimitPoint, TestPoint], space: "Space"
+) -> None:
+    """The one check of node and limit points and of tests: raise SpaceError
+    for a class index outside the space, then AlphabetError for a word or
+    branch over another alphabet."""
+    if isinstance(item, (NodePoint, NodeTest)):
+        _same_alphabet(item.word, space)
     else:
-        _check_class(test.cls, space.n)
-        _same_alphabet(test.branch, space)
+        if not 0 <= item.cls < space.n:
+            raise SpaceError(f"class index {item.cls} out of range 0..{space.n - 1}")
+        _same_alphabet(item.branch, space)
 
 
 def _value(space: "Space", point: SymbolicPoint, test: TestPoint) -> int:
@@ -192,7 +175,7 @@ def _value(space: "Space", point: SymbolicPoint, test: TestPoint) -> int:
     of y with the point, (a, a) exactly when y passes through a node point
     and goes on by a; a limit point over y itself reads its own class."""
     space.check_point(point)
-    _check_test(test, space)
+    _check_element(test, space)
     if isinstance(point, InfinityPoint):
         return 0
     node = isinstance(point, NodePoint)
@@ -229,10 +212,28 @@ class Space:
     Both kinds answer the same rules -- m, n, separation_arity, value,
     comb_limit and check_point, and privately _node_value and _pair_value,
     the letter rules that value, comb_limit and verify_convergence read --
-    so callers never ask which kind of space they hold.
+    so callers never ask which kind of space they hold.  check_point,
+    separation_arity and comb_limit are stated once, here; the kinds differ
+    only in their data, whether they hold the infinity point, and the two
+    letter rules.
     """
 
     __slots__ = ()
+    _has_infinity = False
+
+    @property
+    def separation_arity(self) -> int:
+        """One point more than the open degree, which is n, plus one for the
+        infinity point of a scattered space."""
+        return self.n + 2 if self._has_infinity else self.n + 1
+
+    def check_point(self, point: SymbolicPoint) -> None:
+        """Raise SpaceError unless the point belongs to the space, and
+        AlphabetError if it lies over another alphabet."""
+        if not isinstance(point, InfinityPoint):
+            _check_element(point, self)
+        elif not self._has_infinity:
+            raise SpaceError("partition spaces have no infinity point")
 
     def comb_limit(self, gen: CombGenerator) -> SymbolicPoint:
         """Limit of the tooth indicators: the limit point of the comb's
@@ -269,20 +270,6 @@ class PartitionSpace(Space):
     def n(self) -> int:
         return self.table.n
 
-    @property
-    def separation_arity(self) -> int:
-        return self.table.n + 1
-
-    def check_point(self, point: SymbolicPoint) -> None:
-        """Raise SpaceError unless the point belongs to the space, and
-        AlphabetError if it lies over another alphabet."""
-        if isinstance(point, InfinityPoint):
-            raise SpaceError("partition spaces have no infinity point")
-        if isinstance(point, LimitPoint):
-            _check_class(point.cls, self.n)
-        element = point.word if isinstance(point, NodePoint) else point.branch
-        _same_alphabet(element, self)
-
     # Values read off letters (verify_convergence states the rules): at a
     # node test that is a prefix of the point, or equal to it; at a class
     # test whose branch meets the point with incidence pair (a, b).
@@ -290,7 +277,8 @@ class PartitionSpace(Space):
         return 1 if prefix else 0
 
     def _pair_value(self, a: int, b: int, cls: int) -> int:
-        return 1 if self.table.class_index(a, b) == cls else 0
+        table = self.table
+        return 1 if table.values[a][b] == table.colors[cls] else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,6 +286,7 @@ class ScatteredSpace(Space):
     """Scattered compactum of height three attached to a disjoint family."""
 
     family: DisjointFamily
+    _has_infinity = True
 
     def value(self, point: SymbolicPoint, test: TestPoint) -> int:
         return scattered_value(point, test, self.family)
@@ -309,19 +298,6 @@ class ScatteredSpace(Space):
     @property
     def n(self) -> int:
         return self.family.n
-
-    @property
-    def separation_arity(self) -> int:
-        return self.family.n + 2
-
-    def check_point(self, point: SymbolicPoint) -> None:
-        """Raise SpaceError unless the point belongs to the space, and
-        AlphabetError if it lies over another alphabet."""
-        if isinstance(point, NodePoint):
-            _same_alphabet(point.word, self)
-        elif isinstance(point, LimitPoint):
-            _same_alphabet(point.branch, self)
-            _check_class(point.cls, self.n)
 
     # PartitionSpace's letter rules, for single-node indicators.
     def _node_value(self, prefix: bool, equal: bool) -> int:
@@ -424,7 +400,7 @@ def verify_convergence(
     meets = {x: -1}  # decision depths of class tests, by branch
     decided = []
     for test in tests:
-        _check_test(test, space)  # even if no tooth is read
+        _check_element(test, space)  # even if no tooth is read
         if isinstance(test, NodeTest):
             decision = len(test.word.letters)
         else:
@@ -678,8 +654,8 @@ def split_embedding(
     tail = _split_tail(table)
     PartitionSpace(table).check_point(point)
     if isinstance(point, LimitPoint):
-        upper = table.class_index(0, 1)
-        return (interleave_branch(point.branch), 1 if point.cls == upper else 0)
+        upper = table.colors[point.cls] == table.color(0, 1)
+        return (interleave_branch(point.branch), 1 if upper else 0)
     letters = point.word.letters
     if not letters:
         return (Branch(2, (), tail), 1 - tail[0])

@@ -120,6 +120,14 @@ def random_table(rng: random.Random, m: int, n: int) -> PartitionTable:
     return PartitionTable(m, tuple(tuple(row) for row in values))
 
 
+def recolor(rng: random.Random, table: PartitionTable) -> PartitionTable:
+    """The same partition of pairs under n distinct colours drawn from
+    0..3n+2 in random order: sparse, as restriction leaves colours, and not
+    always in the order of the old ones."""
+    new = dict(zip(table.colors, rng.sample(range(3 * table.n + 3), table.n)))
+    return PartitionTable(table.m, tuple(tuple(new[c] for c in row) for row in table.values))
+
+
 def random_family(rng: random.Random, m: int) -> DisjointFamily:
     letters = list(range(m))
     rng.shuffle(letters)
@@ -168,7 +176,8 @@ def comb_limit_oracle(space, gen):
     of the first moves (i, j); in a scattered space the member set holding i
     when i == j, and the infinity point when i != j or no set holds i."""
     if isinstance(space, PartitionSpace):
-        return LimitPoint(gen.branch, space.table.class_index(gen.i, gen.j))
+        table = space.table
+        return LimitPoint(gen.branch, table.colors.index(table.values[gen.i][gen.j]))
     if gen.i == gen.j:
         for cls, members in enumerate(space.family.classes):
             if gen.i in members:
@@ -214,7 +223,8 @@ def partition_value_oracle(point, test, table) -> int:
     _check_class_oracle(test.cls, table.n)
     if other == test.branch:
         return 1 if point.cls == test.cls else 0
-    return 1 if table.class_index(*incidence(test.branch, other)) == test.cls else 0
+    a, b = incidence(test.branch, other)
+    return 1 if table.colors.index(table.values[a][b]) == test.cls else 0
 
 
 def scattered_value_oracle(point, test, family) -> int:

@@ -234,6 +234,36 @@ class TestConverge:
         assert code == 3
         assert "error: m must be an integer" in err
 
+    @pytest.mark.parametrize("m", [257, 2**70])
+    def test_default_tests_refused_past_256_letters(self, capsys, write, m):
+        code, out, err = run(
+            capsys,
+            "converge",
+            "--space",
+            "scattered",
+            "--family",
+            write("f.json", {"m": m, "classes": [[0]]}),
+            "--generator",
+            write("g.json", GEN_DOC),
+        )
+        assert (code, out) == (3, "")
+        assert "pass --tests" in err
+
+    def test_explicit_tests_past_256_letters(self, capsys, write):
+        doc = run_json(
+            capsys,
+            "converge",
+            "--space",
+            "scattered",
+            "--family",
+            write("f.json", {"m": 257, "classes": [[0]]}),
+            "--generator",
+            write("g.json", GEN_DOC),
+            "--tests",
+            write("t.json", [{"kind": "node", "word": [256]}]),
+        )
+        assert doc["all_stable"] is True
+
     def test_space_flag_must_match_data_flag(self, capsys, write):
         code, _, _ = run(
             capsys,

@@ -46,6 +46,7 @@ from conftest import (
     random_family,
     random_table,
     random_word,
+    recolor,
     scattered_value_oracle,
 )
 
@@ -94,23 +95,31 @@ class TestTableValidation:
             PartitionTable(2, ((0, -1), (0, 0)))
 
     def test_sparse_colors_reindex(self):
-        # Restriction products keep original colours; class indices follow
-        # ascending colour order.
+        # Restriction products keep original colours; the pair rule reads a
+        # pair's class as the position of its colour in ascending order.
         t = PartitionTable(2, ((5, 9), (5, 5)))
         assert t.n == 2
         assert t.colors == (5, 9)
+        space = PartitionSpace(t)
         cells = itertools.product(range(2), repeat=2)
-        assert [t.class_index(i, j) for i, j in cells] == [0, 1, 0, 0]
+        assert [_pair_classes(space, i, j) for i, j in cells] == [[0], [1], [0], [0]]
 
     def test_pieces_partition_the_square(self):
-        # Every cell lies in the class of its colour, and every class is hit.
+        # The pair rule puts every cell in exactly the class of its colour,
+        # and every class is hit, whether the colours are 0..n-1 or sparse.
         rng = random.Random(7)
-        for _ in range(25):
+        for case in range(50):
             t = random_table(rng, rng.randrange(2, 5), rng.randrange(1, 5))
+            if case % 2:
+                t = recolor(rng, t)
+            space = PartitionSpace(t)
             cells = list(itertools.product(range(t.m), repeat=2))
-            assert {t.class_index(i, j) for i, j in cells} == set(range(t.n))
+            hit = set()
             for i, j in cells:
-                assert t.colors[t.class_index(i, j)] == t.color(i, j)
+                (cls,) = _pair_classes(space, i, j)
+                assert t.colors[cls] == t.color(i, j)
+                hit.add(cls)
+            assert hit == set(range(t.n))
 
     def test_table_and_family_need_a_positive_alphabet(self):
         with pytest.raises(SpaceError, match="^alphabet size must be positive$"):
@@ -136,6 +145,11 @@ class TestTableValidation:
 
 
 # -- evaluation ----------------------------------------------------------------
+
+
+def _pair_classes(space, a: int, b: int) -> list[int]:
+    """The classes whose pair rule accepts the letter pair (a, b)."""
+    return [cls for cls in range(space.n) if space._pair_value(a, b, cls)]
 
 
 class TestPartitionEvaluation:
@@ -302,6 +316,20 @@ class TestOneValueRule:
         assert families == {(m, n) for m in range(1, 5) for n in range(m + 1)}
         assert {m for kind, m, n in sizes if kind == "PartitionSpace"} == {1, 2, 3, 4}
 
+    def test_sparse_colours_match_the_rules_stated_apart(self):
+        # Restricted tables keep their colours, as [3, 7, 12]: a pair's class
+        # is the position of its colour, not the colour itself.
+        rng = random.Random(25)
+        sparse = 0
+        for _ in range(6000):
+            space, oracle, data, point, test, case = _value_draw(rng)
+            if isinstance(space, PartitionSpace):
+                data = recolor(rng, data)
+                space = PartitionSpace(data)
+                sparse += data.colors != tuple(range(data.n))
+            assert space.value(point, test) == oracle(point, test, data), case
+        assert sparse >= 2000
+
     @pytest.mark.parametrize(
         "space, point, test, error",
         [
@@ -422,6 +450,24 @@ class TestAlphabetOwnership:
         gen = CombGenerator.over(Branch(3, (), (0,)), 0, 1, 2)
         with pytest.raises(AlphabetError, match="alphabet mismatch: 3 vs 2"):
             verify_convergence(gen, PartitionSpace(P20), [NodeTest(Word(3, (0,)))])
+
+    @pytest.mark.parametrize("space", [PartitionSpace(P20), BINARY_FAMILY])
+    def test_class_range_checked_before_alphabet(self, space):
+        # One check, one order, for limit points and class tests of both kinds.
+        foreign = Branch(3, (), (2,))
+        bad_limit, bad_test = LimitPoint(foreign, 7), ClassTest(foreign, 7)
+        gen = CombGenerator.over(ZEROS, 0, 1, 2)
+        calls = [
+            lambda: space.check_point(bad_limit),
+            lambda: space.value(bad_limit, NodeTest(w())),
+            lambda: space.value(NodePoint(w()), bad_test),
+            lambda: verify_convergence(gen, space, [bad_test]),
+            lambda: descriptor_contains(WholeSpace(), bad_limit, space),
+            lambda: separate_points([bad_limit, NodePoint(w(0)), NodePoint(w(1))], space),
+        ]
+        for call in calls:
+            with pytest.raises(SpaceError, match="^class index 7 out of range 0..[01]$"):
+                call()
 
     def test_comb_limit_refuses_foreign_generator(self):
         gen = CombGenerator.over(Branch(3, (), (2,)), 2, 0, 2)
@@ -569,6 +615,19 @@ class TestClosedFormConvergence:
         seen = [_compare_with_oracle(*_random_case(rng)) for _ in range(900)]
         for outcome in ("exhausted", "unstable", "late", "immediate"):
             assert seen.count(outcome) >= 30, outcome
+
+    def test_sparse_colours_match_tooth_scan(self):
+        # Restricted tables keep their colours; limits, teeth and tests read
+        # a pair's class from them.
+        rng = random.Random(27)
+        seen = []
+        for _ in range(600):
+            gen, space, tests, horizon = _random_case(rng)
+            if isinstance(space, PartitionSpace):
+                space = PartitionSpace(recolor(rng, space.table))
+                seen.append(_compare_with_oracle(gen, space, tests, horizon))
+        for outcome in ("exhausted", "unstable", "late", "immediate"):
+            assert seen.count(outcome) >= 10, outcome
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_periods_match_tooth_scan(self, seed):
@@ -920,6 +979,15 @@ class TestSeparatePoints:
         fam = DisjointFamily(3, (frozenset({0}), frozenset({1})))
         assert ScatteredSpace(fam).separation_arity == 4
         assert (PartitionSpace(P20).m, ScatteredSpace(fam).m) == (2, 3)
+        # One point more than the degree: n for a partition space, n + 1 for
+        # a scattered one, whose infinity point adds one; families may be empty.
+        rng = random.Random(26)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            table = random_table(rng, m, rng.randint(1, min(m * m, 5)))
+            assert PartitionSpace(table).separation_arity == table.n + 1
+            family = _family_of_size(rng, m, rng.randint(0, m))
+            assert ScatteredSpace(family).separation_arity == family.n + 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_membership_and_emptiness_randomized(self, seed):
@@ -1005,10 +1073,16 @@ class TestSplitEmbedding:
             assert {side, side1} == {0, 1}
 
     def test_side_tracks_ascending_pair_class(self):
-        # The class of the pair (0,1) takes side 1 whatever the labelling.
-        for table in self.TABLES.values():
-            _, side = split_embedding(table, LimitPoint(ZEROS, table.class_index(0, 1)))
-            assert side == 1
+        # The class of the pair (0,1) takes side 1 whatever the labelling,
+        # sparse colours in either order included.
+        for dense in self.TABLES.values():
+            for f in (lambda c: c, lambda c: 3 * c + 4, lambda c: 9 - 4 * c):
+                table = PartitionTable(2, tuple(tuple(map(f, row)) for row in dense.values))
+                upper = table.colors.index(table.color(0, 1))
+                _, side = split_embedding(table, LimitPoint(ZEROS, upper))
+                assert side == 1
+                _, side = split_embedding(table, LimitPoint(ZEROS, 1 - upper))
+                assert side == 0
 
     def test_node_all_equal_tail_ones(self):
         table = self.TABLES["all_equal"]

@@ -95,7 +95,8 @@ def _space_rules(cls) -> dict[str, str]:
 def test_both_spaces_answer_the_same_rules():
     rules = _space_rules(PartitionSpace)
     assert {"value", "check_point", "_node_value", "_pair_value"} <= rules.keys()
-    assert rules["comb_limit"] == "Space"
+    for shared in ("comb_limit", "check_point", "separation_arity"):
+        assert rules[shared] == "Space"
     assert rules == _space_rules(ScatteredSpace)
 
 
