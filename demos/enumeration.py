@@ -23,7 +23,7 @@ for n in (2, 3, 4):
     for t in types:
         # Every enumerated representative passes its own validator.
         assert not validate_type(t)
-        elements, table = partition_from_type(t)
+        _, table = partition_from_type(t)
         rows = " / ".join("".join(str(c) for c in row) for row in table.values)
         print(f"  A={sorted(t.A)} B={sorted(t.B)} blocks={sorted(t.blocks)}"
               f" D={sorted(t.D)} E={sorted(t.E)}  ->  {table.m}x{table.m}"

@@ -45,8 +45,9 @@ print("sorted:", ws)
 print("well_order_cmp(Word(2,(1,)), Word(2,(0,0))) =",
       well_order_cmp(Word(2, (1,)), Word(2, (0, 0))))
 
-# meet_closure adds all pairwise meets, producing the smallest meet-closed
-# superset; it never more than doubles the size.
+# meet_closure adds the meets of lexicographic neighbours, which are all
+# pairwise meets, producing the smallest meet-closed superset; it never
+# more than doubles the size.
 nodes = frozenset({Word(2, (0, 0, 1)), Word(2, (0, 1)), Word(2, (1, 0))})
 closed = meet_closure(nodes)
 print("closure of", sorted(nodes, key=lambda w: (len(w), w.letters)), "is",

@@ -291,38 +291,24 @@ class ConcreteAlphabet:
     mutual orientations by psi instead).
     """
 
-    n: int
-    elements: tuple[tuple[str, tuple[int, ...]], ...]
     sigma: tuple[int, ...]
     tau: tuple[Optional[int], ...]
 
     @property
     def m(self) -> int:
-        return len(self.elements)
+        return len(self.sigma)
 
 
 def concrete_alphabet(t: DenseType) -> ConcreteAlphabet:
-    """Alphabet of a dense type: free letters, then blocks by least colour,
-    then gamma letters, ascending."""
-    elements: list[tuple[str, tuple[int, ...]]] = []
-    sigma: list[int] = []
-    tau: list[Optional[int]] = []
-    free = t.A or (0,)
-    tag = "free" if t.A else "anchor"
-    for k in free:
-        elements.append((tag, (k,)))
-        sigma.append(k)
-        tau.append(None)
-    for blk in t.blocks:
-        elements.append(("block", blk))
-        sigma.append(min(blk))
-        tau.append(max(blk))
-    gamma = t.gamma_map
-    for d in t.D:
-        elements.append(("linked", (d,)))
-        sigma.append(d)
-        tau.append(gamma[d])
-    return ConcreteAlphabet(t.n, tuple(elements), tuple(sigma), tuple(tau))
+    """Alphabet of a dense type: the free letters of A, or one anchor
+    letter of colour 0 when A is empty; then the blocks by least colour,
+    with sigma and tau their least and greatest colours; then the D
+    letters ascending, with tau their gamma value."""
+    free, gamma = t.A or (0,), t.gamma_map
+    return ConcreteAlphabet(
+        (*free, *(min(b) for b in t.blocks), *t.D),
+        (*(None,) * len(free), *(max(b) for b in t.blocks), *map(gamma.get, t.D)),
+    )
 
 
 def partition_from_type(t: DenseType) -> tuple[ConcreteAlphabet, PartitionTable]:
@@ -352,8 +338,5 @@ def partition_from_type(t: DenseType) -> tuple[ConcreteAlphabet, PartitionTable]
             return psi[sigma[i], sigma[j]]
         return sigma[i] if rank[i] <= rank[j] else tau[j]
 
-    values = tuple(tuple(colour(i, j) for j in range(alph.m)) for i in range(alph.m))
-    table = PartitionTable(alph.m, values)
-    if table.colors != tuple(range(t.n)):
-        raise TypeError_("induced colouring failed to reach every colour")
-    return alph, table
+    values = [[colour(i, j) for j in range(alph.m)] for i in range(alph.m)]
+    return alph, PartitionTable.dense(alph.m, t.n, values)

@@ -4,9 +4,10 @@ A reduction from an m0-letter colouring f to an m1-letter colouring g is a
 block embedding: an injective assignment of length-k words e(0), ..., and a
 shorter anchor word x, inducing eps(u, v) = incidence(e(u), e(v)) off the
 diagonal and eps(u, u) = incidence(e(u), x).  f reduces to g when
-f = g o eps; reductions compose, transport combs, and witness that every
-surjective colouring restricts, for each smaller colour count, to one using
-exactly that many of its colours.
+f = g o eps.  The module checks a reduction, searches for one up to a
+block length, restricts a surjective colouring to each smaller colour
+count by a reduction onto exactly that many of its colours, and gives the
+maps that a reduction induces on words and branches.
 """
 
 from __future__ import annotations
@@ -105,12 +106,12 @@ def search_reduction(
     bound.  Block lengths past m0 + 1 are never needed: cut a witness of
     length k down to its decision positions, the depths of the pairwise
     meets of e(0), ..., e(m0 - 1), x, plus |x| when it is not among them.
-    Sorted lexicographically, these m0 + 1 nodes have each pairwise meet
-    among the m0 meets of neighbours, so at most m0 + 1 positions remain.
-    Every pair of letter words keeps its first mismatch and letter pair
-    there, and each letter word keeps its first move away from x, or its
-    letter at |x| when x is its prefix; so the cut words still witness
-    f = g o eps.  The first witness therefore has k <= m0 + 1, and None
+    By words.meet_closure's lemma, the pairwise meets of these m0 + 1
+    nodes are the m0 meets of lexicographic neighbours, so at most m0 + 1
+    positions remain.  Every pair of letter words keeps its first mismatch
+    and letter pair there, and each letter word keeps its first move away
+    from x, or its letter at |x| when x is its prefix; so the cut words
+    still witness f = g o eps.  The first witness therefore has k <= m0 + 1, and None
     with max_k >= m0 + 1 proves that f does not reduce to g at all.
     """
     if max_k < 1:

@@ -272,9 +272,12 @@ def well_order_cmp(s: Word, t: Word) -> int:
 
 
 def meet_closure(words: Iterable[Word]) -> frozenset[Word]:
-    """Least meet-closed superset of the given nodes: all pairwise meets."""
-    ws = list(words)
-    out = set(ws)
-    for s, t in itertools.combinations(ws, 2):
-        out.add(meet(s, t))
-    return frozenset(out)
+    """Least meet-closed superset of the given nodes.
+
+    Sorted by their letters, words a < b < c have lcp(a, c) =
+    min(lcp(a, b), lcp(b, c)) (Manber and Myers, Suffix arrays, 1993), so
+    the meets of lexicographic neighbours are every pairwise meet.  The
+    chain links every word, so two alphabets raise AlphabetError.
+    """
+    ws = sorted(set(words), key=lambda w: w.letters)
+    return frozenset(ws).union(map(meet, ws, ws[1:]))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from madic import codec
+from madic import cli, codec
 from madic.cli import _default_tests, build_parser, console_main, main
 from madic.dense_types import enumerate_types, partition_from_type
 from madic.patterns import GeneratorExhaustedError
@@ -67,7 +67,7 @@ class TestEnumerate:
     def test_degenerate_count_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "1")
         assert code == 2
-        assert "at least 2" in err
+        assert err == "error: --n must be in 2..6\n"
 
     @pytest.mark.parametrize("n", ["7", "9"])
     def test_count_above_six_is_usage_error(self, capsys, n):
@@ -85,6 +85,24 @@ class TestEnumerate:
         ],
     )
     def test_stdout_matches_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("enumerate", "--n", "5", "--format", "table"), "enumerate_n5.txt"),
+            (("enumerate", "--n", "6", "--format", "table"), "enumerate_n6.txt"),
+            (("tables",), "tables.txt"),
+        ],
+    )
+    def test_type_tables_build_no_colouring(self, capsys, monkeypatch, argv, golden):
+        # A type table reads each letter count off the alphabet alone.
+        def refuse(t):
+            raise AssertionError("type tables must not build a colouring")
+
+        monkeypatch.setattr(cli, "partition_from_type", refuse)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
@@ -790,4 +808,4 @@ class TestConsoleEntry:
         with pytest.raises(SystemExit) as exit_info:
             console_main()
         assert exit_info.value.code == 2
-        assert "at least 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --n must be in 2..6\n"

@@ -8,11 +8,13 @@ definitions do not count as uses; only loaded names and attribute lookups
 do.  The library holds no assert statement, which python -O would strip.
 
 The two space kinds answer the same rules.  No library line is longer than
-88 columns, and no library module keeps an import it never loads.
+88 columns, and no library module keeps an import it never loads.  The
+test extra in pyproject.toml pins the versions that CI installs.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import madic
@@ -122,3 +124,14 @@ def test_no_library_module_keeps_an_unused_import():
         }
         unused = sorted(imported - loaded)
         assert unused == [], f"{path.name}: {unused}"
+
+
+def test_test_extra_pins_the_versions_ci_installs():
+    # tomllib is not in Python 3.10, so both files are read as text.
+    pin = re.compile(r"\b(pytest|hypothesis)==([\w.]+)")
+    extra = re.search(r"^test = \[.*\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert extra is not None
+    pinned = dict(pin.findall(extra.group()))
+    assert pinned.keys() == {"pytest", "hypothesis"}
+    assert pinned == dict(pin.findall(ci))

@@ -1,5 +1,6 @@
 """Tree algebra: words, branches, meets, incidence, the well order."""
 
+import itertools
 import math
 import random
 import time
@@ -24,6 +25,7 @@ from madic import (
     well_order_cmp,
     well_order_key,
 )
+from madic import words as words_module
 from conftest import (
     expand,
     meet_oracle,
@@ -417,6 +419,51 @@ def test_meet_closure_monotone():
     small = {W2(0, 0, 0), W2(0, 1)}
     big = small | {W2(1, 1), W2(0, 0, 1)}
     assert meet_closure(small) <= meet_closure(big)
+
+
+def pairwise_closure(words):
+    """The definition: the nodes and the meets of all their pairs."""
+    ws = list(words)
+    return frozenset(ws) | {meet(s, t) for s, t in itertools.combinations(ws, 2)}
+
+
+def test_meet_closure_equals_pairwise_meets():
+    # Sets drawn from a small pool repeat words; sizes start at 0.
+    rng = random.Random(26)
+    for trial in range(20_000):
+        m = trial % 4 + 1
+        pool = [random_word(rng, m) for _ in range(rng.randint(1, 8))]
+        ws = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        assert meet_closure(ws) == pairwise_closure(ws), ws
+
+
+def test_meet_closure_meets_only_neighbours(monkeypatch):
+    # N distinct words take at most N - 1 meets; the pairwise rule takes
+    # N(N - 1)/2.  The reference closure calls this module's own meet.
+    calls = []
+    real = words_module.meet
+    monkeypatch.setattr(
+        words_module, "meet", lambda a, b: calls.append(1) or real(a, b)
+    )
+    rng = random.Random(5)
+    for size in (0, 1, 2, 5, 25, 100):
+        ws = {random_word(rng, 2, max_len=12) for _ in range(size)}
+        calls.clear()
+        assert meet_closure([*ws, *ws]) == pairwise_closure(ws)
+        assert len(calls) <= max(len(ws) - 1, 0)
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [
+        [W2(0), Word(3, (0,))],
+        [W2(0, 1), Word(3, (2,)), W2(1)],
+        [Word(3, (2, 2)), W2(), W2(1, 1)],
+    ],
+)
+def test_meet_closure_rejects_two_alphabets(ws):
+    with pytest.raises(AlphabetError):
+        meet_closure(ws)
 
 
 # -- misc ------------------------------------------------------------------------
