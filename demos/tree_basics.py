@@ -8,7 +8,15 @@ through construction, the meet (longest common prefix), the incidence
 operation, and the length-then-lexicographic well order.
 """
 
-from madic import Branch, Word, incidence, meet, meet_closure, well_order_cmp
+from madic import (
+    Branch,
+    Word,
+    incidence,
+    meet,
+    meet_closure,
+    well_order_cmp,
+    well_order_key,
+)
 
 # Finite words carry their arity; letters must lie below it.
 u = Word(2, (0, 1, 1))
@@ -40,7 +48,7 @@ print("incidence(b, Word(2, (0,))) =", incidence(b, Word(2, (0,))))
 
 # The well order compares by length first, then lexicographically.
 ws = [Word(2, t) for t in ((1,), (0, 0), (), (0, 1), (1, 1), (0,))]
-ws.sort(key=lambda w: (len(w), w.letters))
+ws.sort(key=well_order_key)
 print("sorted:", ws)
 print("well_order_cmp(Word(2,(1,)), Word(2,(0,0))) =",
       well_order_cmp(Word(2, (1,)), Word(2, (0, 0))))
@@ -50,5 +58,5 @@ print("well_order_cmp(Word(2,(1,)), Word(2,(0,0))) =",
 # more than doubles the size.
 nodes = frozenset({Word(2, (0, 0, 1)), Word(2, (0, 1)), Word(2, (1, 0))})
 closed = meet_closure(nodes)
-print("closure of", sorted(nodes, key=lambda w: (len(w), w.letters)), "is",
-      sorted(closed, key=lambda w: (len(w), w.letters)))
+print("closure of", sorted(nodes, key=well_order_key), "is",
+      sorted(closed, key=well_order_key))

@@ -77,7 +77,6 @@ def _primitive_period(period: tuple[int, ...]) -> tuple[int, ...]:
     for d in range(1, n + 1):
         if n % d == 0 and period == period[:d] * (n // d):
             return period[:d]
-    return period
 
 
 @dataclass(frozen=True, slots=True)

@@ -232,21 +232,56 @@ class TestEnumerateTypes:
         assert len(walked) == len(set(walked))
         assert set(walked) == {s for s in compositions(n) if range_types(s)}
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_one_canonical_check_per_type(self, n, monkeypatch):
-        # A work count that does not depend on machine speed: a rejected
-        # candidate is never handed to canonical_form.
+        # A work count that does not depend on machine speed: canonical_form
+        # sees each candidate that passes the psi screen once, and keeps it
+        # exactly when it returns the candidate itself.
         calls = []
         real = dense_types.canonical_form
 
         def counted(t):
-            calls.append(t)
-            return real(t)
+            calls.append((t, real(t)))
+            return calls[-1][1]
 
         monkeypatch.setattr(dense_types, "canonical_form", counted)
         types = enumerate_types(n)
-        assert len(calls) == len(types)
-        assert sorted(calls) == list(types)
+        assert len(calls) == {4: 8, 5: 24, 6: 190}[n]
+        assert sorted(t for t, least in calls if least == t) == list(types)
+        assert {least for _, least in calls} == set(types)
+        if n == 5:
+            # Swapping A fixes psi but relabels B, which lowers gamma.
+            tied = dt(5, a=(0, 1), b=(2, 3), d=(4,),
+                      psi=((0, 1, 2), (1, 0, 3)), gamma=((4, 3),))
+            assert [t for t, least in calls if least != t] == [tied]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_psi_screen_only_prunes(self, n, monkeypatch):
+        # With every psi that takes B in first-appearance order, and no
+        # screen by the orders of A, canonical_form alone gives the
+        # recorded catalogue.
+        if n == 5:
+            doc = json.loads((GOLDEN / "enumerate_n5.json").read_text())
+            rows = [entry["type"] for entry in doc["types"]]
+        else:
+            rows = json.loads((GOLDEN / f"types_n{n}.json").read_text())["rows"]
+        recorded = sorted({canonical_form(DenseType(**row)) for row in rows})
+        assert len(recorded) == len(rows)
+
+        def every_psi(A, B):
+            pairs = list(itertools.permutations(A, 2))
+            for values in itertools.product(B, repeat=len(pairs)):
+                if tuple(dict.fromkeys(values)) == B:
+                    yield tuple((i, j, v) for (i, j), v in zip(pairs, values))
+
+        if n == 5:
+            # a = 3, b = 2 is the first split where the screen drops a psi.
+            A, B = (0, 1, 2), (3, 4)
+            assert len(list(dense_types._least_psis(A, B))) < len(
+                list(every_psi(A, B))
+            )
+        monkeypatch.setattr(dense_types, "_least_psis", every_psi)
+        assert enumerate_types(n) == tuple(recorded)
 
     def test_rejects_degenerate_counts(self):
         with pytest.raises(TypeError_):

@@ -9,12 +9,15 @@ do.  The library holds no assert statement, which python -O would strip.
 
 The two space kinds answer the same rules.  No library line is longer than
 88 columns, and no library module keeps an import it never loads.  The
-test extra in pyproject.toml pins the versions that CI installs.
+test extra in pyproject.toml pins the versions that CI installs, and its
+warning filters let a failing property test report as one failure.
 """
 
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import madic
@@ -135,3 +138,27 @@ def test_test_extra_pins_the_versions_ci_installs():
     pinned = dict(pin.findall(extra.group()))
     assert pinned.keys() == {"pytest", "hypothesis"}
     assert pinned == dict(pin.findall(ci))
+
+
+def test_failing_property_reports_as_one_failure(tmp_path):
+    # With every warning an error, a deprecation raised inside Hypothesis's
+    # report hook (mypy_extensions.TypedDict, where that module is
+    # installed) stopped the session with an INTERNALERROR after the first
+    # failing property.  The run starts in tmp_path, so .hypothesis/ stays
+    # out of the repository.
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
