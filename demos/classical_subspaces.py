@@ -73,6 +73,5 @@ lim_seq, lim_side = split_embedding(table, limit)
 print("limit image:", lim_seq, "side", lim_side)
 for tooth in comb_nodes(gen)[1:]:
     seq, _ = split_embedding(table, NodePoint(tooth))
-    rel = "above" if tuple(seq.letter(k) for k in range(12)) > tuple(
-        lim_seq.letter(k) for k in range(12)) else "below"
+    rel = "above" if seq.head(12) > lim_seq.head(12) else "below"
     print(f"  tooth {tooth} image approaches from {rel}")

@@ -62,11 +62,10 @@ print("ascending-pair reduces to diagonal?",
 
 # Induced maps transport combs: the image of each tooth sits against the
 # image branch exactly at the incidence pair the reduction prescribes.
-eps_block = apply_reduction(r)
 branch = Branch(2, (), (0,))
 gen = CombGenerator.over(branch, 0, 1, 4)
 image = induced_branch_map(r, branch)
 for tooth in comb_nodes(gen):
     mapped = induced_word_map(r, tooth)
     print(f"  tooth {tooth} -> {mapped}: incidence {incidence(image, mapped)}"
-          f" (expected {eps_block[0][1]})")
+          f" (expected {eps[0][1]})")

@@ -1,8 +1,11 @@
 """JSON encodings for every value the command line reads or writes.
 
 Encoding is deterministic (sorted keys, fixed field order) so identical
-inputs always produce byte-identical output.  Decoders validate shapes and
-raise CodecError with a readable message.
+inputs always produce byte-identical output.  Decoders raise CodecError for
+JSON of the wrong shape: a missing key, a non-integer, a wrong container, a
+declared k or colors that disagrees, or a count past GENERATOR_COUNT_MAX.
+The values they build refuse bad contents with their own errors.  All are
+ValueErrors, which cli.main prints as one "error:" line with exit 3.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ def branch_from_json(doc: Any, m: int) -> Branch:
 
 # -- comb generators ------------------------------------------------------------
 
+# over() builds each counted depth; teeth continue past them anyway.
+GENERATOR_COUNT_MAX = 1 << 16
+
 
 def generator_from_json(doc: Any, m: int) -> CombGenerator:
     branch = branch_from_json(_require(doc, "branch"), m)
@@ -80,6 +86,8 @@ def generator_from_json(doc: Any, m: int) -> CombGenerator:
         depths = tuple(_int_list(doc["depths"], "depths"))
         return CombGenerator(branch, i, j, depths)
     count = _int(_require(doc, "count"), "count")
+    if count > GENERATOR_COUNT_MAX:
+        raise CodecError(f"count must be at most {GENERATOR_COUNT_MAX}; list depths")
     return CombGenerator.over(branch, i, j, count)
 
 
@@ -100,13 +108,10 @@ def table_from_json(doc: Any) -> PartitionTable:
     if not isinstance(values, list):
         raise CodecError("values must be a list of rows")
     rows = tuple(tuple(_int_list(row, "table row")) for row in values)
-    try:
-        if "n" in doc:
-            table = PartitionTable.dense(m, _int(doc["n"], "n"), rows)
-        else:
-            table = PartitionTable(m, rows)
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
+    if "n" in doc:
+        table = PartitionTable.dense(m, _int(doc["n"], "n"), rows)
+    else:
+        table = PartitionTable(m, rows)
     colors = list(table.colors)
     if "colors" in doc and _int_list(doc["colors"], "colors") != colors:
         raise CodecError(f"colors must equal the table's colours {colors}")
@@ -121,12 +126,7 @@ def family_from_json(doc: Any) -> DisjointFamily:
     classes = _require(doc, "classes")
     if not isinstance(classes, list):
         raise CodecError("classes must be a list")
-    try:
-        return DisjointFamily(
-            m, tuple(frozenset(_int_list(c, "class")) for c in classes)
-        )
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
+    return DisjointFamily(m, tuple(frozenset(_int_list(c, "class")) for c in classes))
 
 
 def point_to_json(p: SymbolicPoint) -> dict:
@@ -218,10 +218,7 @@ def reduction_from_json(doc: Any, m1: int) -> ReductionData:
     if not isinstance(e_raw, list):
         raise CodecError("e must be a list of words")
     e = tuple(Word(m1, tuple(_int_list(w, "letter word"))) for w in e_raw)
-    try:
-        r = ReductionData(e, x)
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
+    r = ReductionData(e, x)
     if r.k != k:
         raise CodecError(f"declared k={k} but letter words have length {r.k}")
     return r

@@ -192,8 +192,6 @@ def restrict_colors(g: PartitionTable, n0: int) -> RestrictionResult:
     the target count.  f is read off the chain's two colour lists and
     checked against g o eps by check_reduces.
     """
-    if g.m < 2:
-        raise ReductionError("need at least two letters to restrict colours")
     if g.n < 2:
         raise ReductionError("a one-colour table has no smaller colour count")
     if not 1 <= n0 < g.n:

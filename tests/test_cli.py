@@ -282,6 +282,18 @@ class TestConverge:
         )
         assert doc["all_stable"] is True
 
+    def test_count_cap_certifies_as_a_small_count(self, capsys, write):
+        # Teeth continue past the counted depths, so the cap loses nothing.
+        assert codec.GENERATOR_COUNT_MAX == 65536
+        table = write("t.json", P20_DOC)
+        outputs = [
+            run(capsys, "converge", "--space", "partition", "--table", table,
+                "--generator", write("gen.json", dict(GEN_DOC, count=count)))
+            for count in (3, 65536)
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_space_flag_must_match_data_flag(self, capsys, write):
         code, _, _ = run(
             capsys,
@@ -669,8 +681,25 @@ class TestValidationExits:
         "repeated": {"branch": GEN_DOC["branch"], "i": 0, "j": 1, "depths": [1, 1]},
         "zero": dict(GEN_DOC, count=0),
         "zero_i5": dict(GEN_DOC, count=0, i=5),
+        "past_cap": dict(GEN_DOC, count=65537),
+        "huge_count": dict(GEN_DOC, count=10**30),
+        # Right shapes whose contents the table, family or reduction refuses.
+        "ragged": {"m": 2, "values": [[0, 1], [0]]},
+        "not_onto": {"m": 2, "n": 2, "values": [[0, 0], [0, 0]]},
+        "no_letters": {"m": 0, "values": []},
+        "minus": {"m": 2, "values": [[0, -1], [0, 0]]},
+        "one_letter": {"m": 1, "values": [[0]]},
+        "overlap": {"m": 2, "classes": [[0], [0]]},
+        "outside": {"m": 2, "classes": [[0, 5]]},
+        "empty_class": {"m": 2, "classes": [[]]},
+        "same_words": {"k": 1, "x": [], "e": [[0], [0]]},
+        "long_anchor": {"k": 1, "x": [0], "e": [[0], [1]]},
+        "two_lengths": {"k": 1, "x": [], "e": [[0], [0, 1]]},
+        "no_words": {"k": 1, "x": [], "e": []},
     }
     CONVERGE = ("converge", "--space", "partition", "--table", "{t}", "--generator")
+    SCATTERED = ("converge", "--space", "scattered", "--generator", "{gen}", "--family")
+    CHECK = ("reduce", "--f", "{t}", "--g", "{t}", "--reduction")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -705,6 +734,23 @@ class TestValidationExits:
             (CONVERGE + ("{gen}", "--horizon", "0"), "horizon must be at least 1"),
             (CONVERGE + ("{negative}",), "depths must be nonnegative"),
             (CONVERGE + ("{repeated}",), "depths must be strictly increasing"),
+            (CONVERGE + ("{past_cap}",), "count must be at most 65536; list depths"),
+            (CONVERGE + ("{huge_count}",), "count must be at most 65536; list depths"),
+            (("classify", "{ragged}"), "values must form an 2x2 table"),
+            (("classify", "{not_onto}"), "table is not surjective onto 0..1: colours (0,)"),
+            (("classify", "{no_letters}"), "alphabet size must be positive"),
+            (("classify", "{minus}"), "colour -1 must be a nonnegative integer"),
+            (
+                ("reduce", "--g", "{one_letter}", "--construct", "1"),
+                "a one-colour table has no smaller colour count",
+            ),
+            (SCATTERED + ("{overlap}",), "letter 0 appears in two classes"),
+            (SCATTERED + ("{outside}",), "letter 5 outside alphabet of size 2"),
+            (SCATTERED + ("{empty_class}",), "family classes must be nonempty"),
+            (CHECK + ("{same_words}",), "letter words must be pairwise distinct"),
+            (CHECK + ("{long_anchor}",), "anchor must be shorter than the letter words"),
+            (CHECK + ("{two_lengths}",), "letter words must share one length"),
+            (CHECK + ("{no_words}",), "need at least one letter word"),
         ],
     )
     def test_exits_3_with_message(self, capsys, write, argv, message):

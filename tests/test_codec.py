@@ -8,7 +8,7 @@ from madic import codec
 from madic.codec import CodecError
 from madic.dense_types import DenseType, enumerate_types
 from madic.patterns import CombGenerator
-from madic.reductions import ReductionData
+from madic.reductions import ReductionData, ReductionError
 from madic.spaces import (
     INFINITY,
     ClassTest,
@@ -20,6 +20,7 @@ from madic.spaces import (
     NodeTest,
     PartitionTable,
     Singleton,
+    SpaceError,
     StabilizationReport,
     WholeSpace,
 )
@@ -89,7 +90,7 @@ class TestSpaceDocs:
 
     def test_table_with_missing_color_rejected(self):
         doc = {"m": 2, "values": [[0, 0], [0, 0]], "n": 2}
-        with pytest.raises(CodecError):
+        with pytest.raises(SpaceError, match=r"not surjective onto 0\.\.1"):
             codec.table_from_json(doc)
 
     @pytest.mark.parametrize("colors", [[5, 6], [1], [0, 1, 2], [1, 0], "01", [0, "1"]])
@@ -120,7 +121,7 @@ class TestSpaceDocs:
         assert codec.family_from_json(doc) == f
 
     def test_family_overlap_rejected(self):
-        with pytest.raises(CodecError):
+        with pytest.raises(SpaceError, match="letter 0 appears in two classes"):
             codec.family_from_json({"m": 2, "classes": [[0], [0]]})
 
     def test_point_formats(self):
@@ -234,7 +235,7 @@ class TestTypeAndReductionDocs:
 
     def test_reduction_invalid_data(self):
         doc = {"k": 1, "x": [], "e": [[0], [0]]}
-        with pytest.raises(CodecError):
+        with pytest.raises(ReductionError, match="letter words must be pairwise distinct"):
             codec.reduction_from_json(doc, 2)
 
 

@@ -764,7 +764,8 @@ class TestRestrictColors:
             restrict_colors(g, 2)
 
     def test_single_letter_table_rejected(self):
-        with pytest.raises(ReductionError):
+        # A 1x1 table has one colour, so the one-colour refusal covers it.
+        with pytest.raises(ReductionError, match="no smaller colour count"):
             restrict_colors(PartitionTable(1, ((0,),)), 1)
 
     def test_one_colour_table_rejected(self):

@@ -6,6 +6,10 @@ madic module and a public method defined in a class body must each be used
 by library code, by a demo, or by the benchmark in perfbench/.  Imports and
 definitions do not count as uses; only loaded names and attribute lookups
 do.  The library holds no assert statement, which python -O would strip.
+Each bad input is refused once, where it is read or built, and only the
+command line catches: outside cli.py the library has no try statement,
+and in cli.py only _load_json (which names the file in read and JSON
+errors) and main (which turns every ValueError into exit 3) have one.
 
 The two space kinds answer the same rules.  No library line is longer than
 88 columns, and no library module keeps an import it never loads.  The
@@ -81,6 +85,25 @@ def test_library_checks_survive_python_o():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(exc, "id", None)
                 assert name != "AssertionError", f"{path.name}:{node.lineno}"
+
+
+TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
+
+
+def _names_with_try(path: Path) -> set[str]:
+    """The top-level definitions holding a try statement ("<module>" for one
+    outside every definition)."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(path.read_text()).body
+        if any(isinstance(sub, TRY) for sub in ast.walk(node))
+    }
+
+
+def test_only_the_command_line_catches():
+    for path in MODULES + [SRC / "__init__.py"]:
+        expected = {"_load_json", "main"} if path.name == "cli.py" else set()
+        assert _names_with_try(path) == expected, path.name
 
 
 def _space_rules(cls) -> dict[str, str]:
