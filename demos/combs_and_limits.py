@@ -56,6 +56,7 @@ print("limit point:", limit)
 tests = [NodeTest(Word(2, (0, 0))), NodeTest(Word(2, ())),
          ClassTest(zeros, 0), ClassTest(zeros, 1)]
 for report in verify_convergence(gen, space, tests):
+    assert report.limit_value == space.value(limit, report.test)
     print(f"  test {report.test}: limit value {report.limit_value}, "
           f"stable from k0={report.k0} (checked up to horizon {report.horizon})")
 
@@ -71,9 +72,10 @@ print("scattered limit:", lim)
 # test at the fifth tooth reads ...0, 1, 0... and settles one step later.
 s5 = Word(2, (0, 0, 0, 0, 0, 1))
 (report,) = verify_convergence(gen, sp, [NodeTest(s5)])
+assert report.limit_value == sp.value(lim, report.test)
 print(f"tooth-5 test: limit value {report.limit_value}, k0={report.k0}")
 
 # Forcing a horizon at the flip leaves the certificate unstable: the last
 # inspected tooth still disagrees with the limit, and the report says where.
 short = verify_convergence(gen, sp, [NodeTest(s5)], horizon=5)[0]
-print("horizon 5 stable?", short.stable, "- violating k:", short.violating_k)
+print("horizon 5 stable?", short.stable, "- violating k:", short.horizon)

@@ -183,7 +183,7 @@ def report_to_json(rep: StabilizationReport) -> dict:
     if rep.stable:
         doc["k0"] = rep.k0
     else:
-        doc["unstable_at"] = rep.violating_k
+        doc["unstable_at"] = rep.horizon
     return doc
 
 

@@ -14,10 +14,10 @@ from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .words import (
-    AlphabetError,
     Branch,
     Word,
     _check_letters,
+    _same_alphabet,
     incidence,
     is_prefix,
     meet,
@@ -106,8 +106,8 @@ class FirstMoveMap:
         targets = [t for _, t in self.pairs]
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
             raise ValueError("first-move map pairs must form a bijection")
-        if len({w.m for w in sources + targets}) > 1:
-            raise AlphabetError("first-move map words must share one alphabet")
+        for w in sources + targets:
+            _same_alphabet(w, sources[0])
 
     @property
     def mapping(self) -> dict[Word, Word]:
@@ -199,8 +199,7 @@ def find_pattern(
     pattern = canonical_pattern(kind, size, m)
     pool = sorted(set(nodes), key=well_order_key)
     for w in pool:
-        if w.m != m:
-            raise AlphabetError(f"node {w!r} is not over the pattern's {m} letters")
+        _same_alphabet(w, pattern[0])
     return _extend(pattern, pool, 0, ())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .spaces import PartitionTable
-from .words import Branch, Word, _first_moves
+from .words import Branch, Word, _first_moves, _same_alphabet
 
 
 class ReductionError(ValueError):
@@ -38,16 +38,13 @@ class ReductionData:
         k = len(self.e[0])
         if k < 1:
             raise ReductionError("letter words must be nonempty")
-        m1 = self.e[0].m
         for w in self.e:
-            if w.m != m1:
-                raise ReductionError("letter words must share one alphabet")
+            _same_alphabet(w, self.e[0])
             if len(w) != k:
                 raise ReductionError("letter words must share one length")
         if len(set(self.e)) != len(self.e):
             raise ReductionError("letter words must be pairwise distinct")
-        if self.x.m != m1:
-            raise ReductionError("anchor must live in the letter alphabet")
+        _same_alphabet(self.x, self.e[0])
         if len(self.x) >= k:
             raise ReductionError("anchor must be shorter than the letter words")
 

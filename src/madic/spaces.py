@@ -24,6 +24,7 @@ from .words import (
     Branch,
     PrefixRelation,
     Word,
+    _check_letters,
     _common,
     _same_alphabet,
     branch_meet_horizon,
@@ -53,11 +54,10 @@ class PartitionTable:
     colors: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise SpaceError("alphabet size must be positive")
+        _check_letters((), self.m)
         vals = tuple(tuple(row) for row in self.values)
         if len(vals) != self.m or any(len(row) != self.m for row in vals):
-            raise SpaceError(f"values must form an {self.m}x{self.m} table")
+            raise SpaceError(f"values must be {self.m} rows of {self.m} colours")
         for row in vals:
             for c in row:
                 if not isinstance(c, int) or c < 0:
@@ -95,16 +95,13 @@ class DisjointFamily:
     classes: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise SpaceError("alphabet size must be positive")
         classes = tuple(frozenset(c) for c in self.classes)
+        _check_letters(tuple(itertools.chain(*classes)), self.m)
         seen: set[int] = set()
         for c in classes:
             if not c:
                 raise SpaceError("family classes must be nonempty")
             for a in c:
-                if not 0 <= a < self.m:
-                    raise SpaceError(f"letter {a} outside alphabet of size {self.m}")
                 if a in seen:
                     raise SpaceError(f"letter {a} appears in two classes")
                 seen.add(a)
@@ -315,8 +312,7 @@ class StabilizationReport:
     """Where a comb's tooth values settle onto the limit value at one test.
 
     k0 is the least index from which every tooth up to the horizon agrees
-    with the limit.  When even the last examined tooth disagrees, k0 is None
-    and violating_k is the horizon.
+    with the limit.  When even the last examined tooth disagrees, k0 is None.
     """
 
     test: TestPoint
@@ -327,10 +323,6 @@ class StabilizationReport:
     @property
     def stable(self) -> bool:
         return self.k0 is not None
-
-    @property
-    def violating_k(self) -> Optional[int]:
-        return None if self.stable else self.horizon
 
 
 def verify_convergence(

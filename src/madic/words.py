@@ -12,14 +12,14 @@ All values are immutable and hashable; all operations are pure.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 
 class AlphabetError(ValueError):
-    """A letter is outside its alphabet, or operands mix alphabets."""
+    """A letter lies outside its alphabet, an alphabet has size below 1, or
+    operands lie over different alphabets."""
 
 
 class IncidenceUndefinedError(ValueError):
@@ -33,6 +33,8 @@ class OrientationError(ValueError):
 
 
 def _check_letters(letters: tuple[int, ...], m: int) -> None:
+    if m < 1:
+        raise AlphabetError(f"alphabet size must be positive, got {m}")
     for a in letters:
         if not 0 <= a < m:
             raise AlphabetError(f"letter {a} outside alphabet of size {m}")
@@ -46,8 +48,6 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise AlphabetError(f"alphabet size must be positive, got {self.m}")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         _check_letters(self.letters, self.m)
@@ -94,14 +94,11 @@ class Branch:
     period: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise AlphabetError(f"alphabet size must be positive, got {self.m}")
         stem = tuple(self.stem)
         period = tuple(self.period)
+        _check_letters(stem + period, self.m)
         if not period:
             raise AlphabetError("branch period must be nonempty")
-        _check_letters(stem, self.m)
-        _check_letters(period, self.m)
         period = _primitive_period(period)
         # Roll trailing stem letters into the period: s.(p)^w with s ending
         # in p's last letter equals s minus that letter, then p rotated right
@@ -122,10 +119,10 @@ class Branch:
         return self.period[(i - len(self.stem)) % len(self.period)]
 
     def head(self, n: int) -> tuple[int, ...]:
-        if n <= len(self.stem):
+        s, p = len(self.stem), len(self.period)
+        if n <= s:
             return self.stem[:n]
-        reps = itertools.islice(itertools.cycle(self.period), n - len(self.stem))
-        return self.stem + tuple(reps)
+        return self.stem + (self.period * -(-(n - s) // p))[: n - s]
 
     def prefix(self, n: int) -> Word:
         return Word(self.m, self.head(n))

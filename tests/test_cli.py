@@ -158,7 +158,8 @@ class TestClassify:
 
     def test_empty_alphabet_is_validation_error(self, capsys, write):
         code, out, err = run(capsys, "classify", write("g.json", {"m": 0, "values": []}))
-        assert (code, out, err) == (3, "", "error: alphabet size must be positive\n")
+        expected = "error: alphabet size must be positive, got 0\n"
+        assert (code, out, err) == (3, "", expected)
 
     @pytest.mark.parametrize("field", ["m", "n"])
     def test_string_size_is_validation_error(self, capsys, write, field):
@@ -736,9 +737,9 @@ class TestValidationExits:
             (CONVERGE + ("{repeated}",), "depths must be strictly increasing"),
             (CONVERGE + ("{past_cap}",), "count must be at most 65536; list depths"),
             (CONVERGE + ("{huge_count}",), "count must be at most 65536; list depths"),
-            (("classify", "{ragged}"), "values must form an 2x2 table"),
+            (("classify", "{ragged}"), "values must be 2 rows of 2 colours"),
             (("classify", "{not_onto}"), "table is not surjective onto 0..1: colours (0,)"),
-            (("classify", "{no_letters}"), "alphabet size must be positive"),
+            (("classify", "{no_letters}"), "alphabet size must be positive, got 0"),
             (("classify", "{minus}"), "colour -1 must be a nonnegative integer"),
             (
                 ("reduce", "--g", "{one_letter}", "--construct", "1"),

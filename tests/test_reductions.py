@@ -35,7 +35,7 @@ from madic.reductions import (
     search_reduction,
 )
 from madic.spaces import PartitionTable, classify_subspaces
-from madic.words import Branch, Word, incidence, is_prefix, meet
+from madic.words import AlphabetError, Branch, Word, incidence, is_prefix, meet
 
 from conftest import (
     apply_reduction_oracle,
@@ -541,9 +541,9 @@ class TestApplyReduction:
             ReductionData((Word(2, (0,)),), Word(2, (1,)))
 
     def test_rejects_alphabet_mismatch(self):
-        with pytest.raises(ReductionError):
+        with pytest.raises(AlphabetError, match="^alphabet mismatch: 3 vs 2$"):
             ReductionData((Word(2, (0,)), Word(3, (1,))), Word(2, ()))
-        with pytest.raises(ReductionError):
+        with pytest.raises(AlphabetError, match="^alphabet mismatch: 3 vs 2$"):
             ReductionData((Word(2, (0, 1)),), Word(3, (0,)))
 
     def test_rejects_empty_data(self):

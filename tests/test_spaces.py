@@ -122,9 +122,9 @@ class TestTableValidation:
             assert hit == set(range(t.n))
 
     def test_table_and_family_need_a_positive_alphabet(self):
-        with pytest.raises(SpaceError, match="^alphabet size must be positive$"):
+        with pytest.raises(AlphabetError, match="^alphabet size must be positive, got 0$"):
             PartitionTable(0, ())
-        with pytest.raises(SpaceError, match="^alphabet size must be positive$"):
+        with pytest.raises(AlphabetError, match="^alphabet size must be positive, got 0$"):
             DisjointFamily(0, ())
 
     def test_family_rejects_overlap(self):
@@ -136,7 +136,7 @@ class TestTableValidation:
             DisjointFamily(3, (frozenset(),))
 
     def test_family_rejects_foreign_letter(self):
-        with pytest.raises(SpaceError):
+        with pytest.raises(AlphabetError, match="^letter 2 outside alphabet of size 2$"):
             DisjointFamily(2, (frozenset({2}),))
 
     def test_family_may_be_empty_or_partial(self):
@@ -508,7 +508,7 @@ class TestConvergence:
         s5 = w(0, 0, 0, 0, 0, 1)
         (rep,) = verify_convergence(gen, space, [NodeTest(s5)], horizon=5)
         assert not rep.stable
-        assert rep.k0 is None and rep.violating_k == 5
+        assert rep.k0 is None and rep.horizon == 5
 
     def test_exhaustion_below_horizon(self):
         # The branch 10^w reads letter 1 only once: no second tooth exists.

@@ -5,11 +5,13 @@ a demo, or by other library code.  A public module-level function of any
 madic module and a public method defined in a class body must each be used
 by library code, by a demo, or by the benchmark in perfbench/.  Imports and
 definitions do not count as uses; only loaded names and attribute lookups
-do.  The library holds no assert statement, which python -O would strip.
-Each bad input is refused once, where it is read or built, and only the
-command line catches: outside cli.py the library has no try statement,
-and in cli.py only _load_json (which names the file in read and JSON
-errors) and main (which turns every ValueError into exit 3) have one.
+do, and a method counts as used only through an attribute lookup.  The
+library holds no assert statement, which python -O would strip.  Each bad
+input is refused once, where it is read or built, and only the command
+line catches: outside cli.py the library has no try statement, and in
+cli.py only _load_json (which names the file in read and JSON errors) and
+main (which turns every ValueError into exit 3) have one.  Only words
+raises AlphabetError.
 
 The two space kinds answer the same rules.  No library line is longer than
 88 columns, and no library module keeps an import it never loads.  The
@@ -34,22 +36,29 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def _looked_up(path: Path) -> set[str]:
+    """Names of the attribute lookups in the file."""
+    tree = ast.parse(path.read_text())
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def _used_names(path: Path) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+    """Loaded names and attribute lookups in the file."""
+    return _looked_up(path).union(
+        node.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
 
 
 USED_BY_LIBRARY = set().union(*(_used_names(p) for p in MODULES + DEMOS))
 USED = USED_BY_LIBRARY.union(*(_used_names(p) for p in BENCH))
+LOOKED_UP = set().union(*(_looked_up(p) for p in MODULES + DEMOS + BENCH))
 
 
 def _defined_functions(path: Path) -> list[str]:
-    """Public module-level functions and public methods of class bodies."""
+    """Public module-level functions and public methods of class bodies, as
+    module.function and module.Class.method."""
     tree = ast.parse(path.read_text())
     defs = ast.FunctionDef, ast.AsyncFunctionDef
     out = [f"{path.stem}.{n.name}" for n in tree.body if isinstance(n, defs)]
@@ -70,21 +79,36 @@ def test_every_exported_function_has_a_caller():
     assert sorted(set(exported) - USED_BY_LIBRARY) == []
 
 
+def _has_caller(qualname: str) -> bool:
+    """A function is called by name or as an attribute; a method only as an
+    attribute, so a local variable of the same name does not count."""
+    *owner, name = qualname.split(".")
+    return name in (LOOKED_UP if len(owner) == 2 else USED)
+
+
 def test_every_public_function_and_method_has_a_caller():
     defined = [q for p in MODULES for q in _defined_functions(p)]
     assert "codec.table_from_json" in defined
     assert "patterns.CombGenerator.tooth" in defined
-    assert sorted(q for q in defined if q.rsplit(".", 1)[1] not in USED) == []
+    assert sorted(q for q in defined if not _has_caller(q)) == []
+
+
+def _raises(path: Path) -> list[tuple[str | None, str]]:
+    """The class named by each raise statement in the file, with where it is."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((getattr(exc, "id", None), f"{path.name}:{node.lineno}"))
+    return out
 
 
 def test_library_checks_survive_python_o():
     for path in MODULES + [SRC / "__init__.py"]:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = getattr(exc, "id", None)
-                assert name != "AssertionError", f"{path.name}:{node.lineno}"
+        for name, where in _raises(path):
+            assert name != "AssertionError", where
 
 
 TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
@@ -104,6 +128,15 @@ def test_only_the_command_line_catches():
     for path in MODULES + [SRC / "__init__.py"]:
         expected = {"_load_json", "main"} if path.name == "cli.py" else set()
         assert _names_with_try(path) == expected, path.name
+
+
+def test_only_words_raises_alphabet_error():
+    # Other modules refuse a letter or an alphabet through words'
+    # _check_letters and _same_alphabet.
+    for path in MODULES + [SRC / "__init__.py"]:
+        if path.name != "words.py":
+            for name, where in _raises(path):
+                assert name != "AlphabetError", where
 
 
 def _space_rules(cls) -> dict[str, str]:

@@ -11,12 +11,18 @@ from hypothesis import given, strategies as st
 from madic import (
     AlphabetError,
     Branch,
+    Comb,
+    DisjointFamily,
+    FirstMoveMap,
     IncidenceUndefinedError,
     OrientationError,
+    PartitionTable,
     PrefixRelation,
+    ReductionData,
     Word,
     branch_meet_horizon,
     concat,
+    find_pattern,
     incidence,
     is_prefix,
     meet,
@@ -57,6 +63,43 @@ def test_branch_requires_positive_alphabet():
 def test_branch_requires_nonempty_period():
     with pytest.raises(AlphabetError):
         Branch(2, (0,), ())
+
+
+ZERO_LETTERS = "^alphabet size must be positive, got 0$"
+MISMATCH = "^alphabet mismatch: 3 vs 2$"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Word(0), ZERO_LETTERS),
+        (lambda: Branch(0, (), (0,)), ZERO_LETTERS),
+        (lambda: PartitionTable(0, ()), ZERO_LETTERS),
+        (lambda: DisjointFamily(0, ()), ZERO_LETTERS),
+        (lambda: DisjointFamily(2, ({5},)), "^letter 5 outside alphabet of size 2$"),
+        (lambda: FirstMoveMap(((W2(0), W2(1)), (Word(3, (1,)), W2(0)))), MISMATCH),
+        (lambda: find_pattern([Word(3, (2,))], Comb(0, 1), 1, 2), MISMATCH),
+        (lambda: ReductionData((W2(0), Word(3, (1,))), W2()), MISMATCH),
+        (lambda: ReductionData((W2(0, 1),), Word(3, (0,))), MISMATCH),
+    ],
+    ids=[
+        "word", "branch", "table", "family", "family-letter", "first-move-map",
+        "find-pattern", "reduction-letter-word", "reduction-anchor",
+    ],
+)
+def test_every_alphabet_refusal_is_words_alphabet_error(build, message):
+    # Tables, families, first-move maps, pattern searches and reductions
+    # state the alphabet rule through words, not in their own words.
+    with pytest.raises(AlphabetError, match=message):
+        build()
+
+
+def test_head_matches_the_cycled_period():
+    rng = random.Random(29)
+    for _ in range(300):
+        x = random_branch(rng, rng.randint(2, 4), max_len=5, max_period=7)
+        for n in range(80):
+            assert x.head(n) == expand(x, n)
 
 
 def test_branch_canonical_form_is_stable():
