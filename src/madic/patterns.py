@@ -30,7 +30,7 @@ class GeneratorError(ValueError):
 
 
 class GeneratorExhaustedError(GeneratorError):
-    """The branch cannot supply as many teeth as requested."""
+    """The comb's letter i does not recur on its branch, so its teeth run out."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +232,8 @@ class CombGenerator:
     follows the branch to that depth and then moves j (for i == j the tooth
     is the plain prefix, whose first move off itself along the branch is i).
     Past the listed depths the teeth continue at every later depth where the
-    branch reads i (see teeth).
+    branch reads i (see teeth).  They never run out: a generator whose i is
+    not in the branch's period is refused.
     """
 
     branch: Branch
@@ -242,6 +243,10 @@ class CombGenerator:
 
     def __post_init__(self) -> None:
         _check_letters((self.i, self.j), self.branch.m)
+        if self.i not in self.branch.period:
+            raise GeneratorExhaustedError(
+                f"letter {self.i} recurs only finitely often on {self.branch!r}"
+            )
         if not self.depths:
             raise GeneratorError("generator needs at least one depth")
         if self.depths[0] < 0:
@@ -261,13 +266,8 @@ class CombGenerator:
         """Generator using the first count depths where the branch reads i."""
         if count < 1:
             raise GeneratorError("tooth count must be positive")
-        _check_letters((i,), branch.m)
         # zip with a range, unlike islice, takes counts past sys.maxsize.
         found = tuple(d for _, d in zip(range(count), _reads(branch, i, 0)))
-        if len(found) < count:
-            raise GeneratorExhaustedError(
-                f"letter {i} occurs only {len(found)} times on {branch!r}"
-            )
         return cls(branch, i, j, found)
 
     def teeth(self) -> Iterator[int]:
@@ -283,7 +283,8 @@ class CombGenerator:
 
 def _reads(branch: Branch, letter: int, start: int) -> Iterator[int]:
     # The depths from start on where the branch reads letter.  Past the stem
-    # the period repeats, so a letter outside it runs out in the stem.
+    # the period repeats, so a letter outside it runs out in the stem.  Only
+    # CombGenerator.over meets that case, before the constructor refuses it.
     stem, period = branch.stem, branch.period
     yield from (d for d in range(start, len(stem)) if stem[d] == letter)
     if letter in period:

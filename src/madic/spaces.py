@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .patterns import CombGenerator, GeneratorExhaustedError
+from .patterns import CombGenerator
 from .words import (
     Branch,
     PrefixRelation,
@@ -237,7 +237,8 @@ class Space:
         branch in the class whose pair rule accepts the first moves (i, j),
         or the infinity point when no class does.
 
-        Every tooth meets the comb's branch with the pair (i, j), as
+        Every generator has infinitely many teeth, as i recurs on its
+        branch.  Every tooth meets the branch with the pair (i, j), as
         verify_convergence shows for a class test over it, and so does the
         limit.  In a partition space exactly one class accepts each pair.
         In a scattered space at most one member holds i, and no member
@@ -380,11 +381,6 @@ def verify_convergence(
     _same_alphabet(x, space)
     if horizon is not None and horizon < 1:
         raise SpaceError("horizon must be at least 1")
-    # Past the stem x repeats its period, and every tooth reads i, so the
-    # teeth run out exactly when i is not in the period; they all lie in the
-    # stem, and the derived horizon then asks for more.
-    if i not in x.period and (horizon is None or len(list(gen.teeth())) <= horizon):
-        raise GeneratorExhaustedError(f"letter {i} recurs only finitely often on {x!r}")
     # The derived horizon exceeds the number of teeth no deeper than any
     # decision depth: it is at least deepest + 2, and branch_meet_horizon
     # + 2 for each class test over y != x (its meet is shorter than that).

@@ -13,7 +13,7 @@ import pytest
 from madic import cli, codec
 from madic.cli import _default_tests, build_parser, console_main, main
 from madic.dense_types import enumerate_types, partition_from_type
-from madic.patterns import GeneratorExhaustedError
+from madic.patterns import CombGenerator, GeneratorExhaustedError
 from madic.reductions import check_reduces
 from madic.spaces import ClassTest, NodeTest, PartitionSpace, PartitionTable, ScatteredSpace
 from madic.words import Branch
@@ -24,6 +24,9 @@ P20_DOC = {"m": 2, "n": 2, "values": [[0, 1], [0, 0]]}
 P21_DOC = {"m": 2, "n": 2, "values": [[0, 1], [1, 1]]}
 FAM_DOC = {"m": 2, "classes": [[0]]}
 GEN_DOC = {"branch": {"stem": [], "period": [0]}, "i": 0, "j": 1, "count": 3}
+# Letter 1 of 111(0)* lies only in the stem: its comb has three teeth.
+FINITE = Branch(2, (1, 1, 1), (0,))
+FINITE_DOC = {"branch": {"stem": [1, 1, 1], "period": [0]}, "i": 1, "j": 0}
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -238,6 +241,33 @@ class TestConverge:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda: CombGenerator(FINITE, 1, 0, (0, 2)),
+            lambda: CombGenerator.over(FINITE, 1, 0, 1),
+            lambda: CombGenerator.over(FINITE, 1, 0, 5),
+            lambda: codec.generator_from_json(dict(FINITE_DOC, count=3), 2),
+            lambda: codec.generator_from_json(dict(FINITE_DOC, depths=[0, 2]), 2),
+            (),
+            ("--horizon", "1"),
+            ("--horizon", "2"),
+        ],
+        ids=["depths", "over_1", "over_5", "json_count", "json_depths",
+             "cli", "cli_horizon_1", "cli_horizon_2"],
+    )
+    def test_finite_comb_is_refused_where_built(self, capsys, write, form):
+        # A comb whose teeth run out converges to nothing, whatever the horizon.
+        message = "letter 1 recurs only finitely often on Branch[2](111(0)*)"
+        if callable(form):
+            with pytest.raises(GeneratorExhaustedError) as info:
+                form()
+            assert str(info.value) == message
+        else:
+            argv = ["converge", "--space", "partition", "--table", write("t.json", P20_DOC),
+                    "--generator", write("g.json", dict(FINITE_DOC, count=3)), *form]
+            assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
     def test_string_family_size_is_validation_error(self, capsys, write):
         code, _, err = run(
@@ -726,7 +756,7 @@ class TestValidationExits:
                 ("separate", "--space", "partition", "--table", "{t}", "--points", "{points}"),
                 "points file must hold a list of symbolic points",
             ),
-            # over checks the count first, then the letter, then the supply.
+            # over checks the count first, then the constructor the letters.
             (CONVERGE + ("{i5}",), "letter 5 outside alphabet of size 2"),
             (CONVERGE + ("{j7}",), "letter 7 outside alphabet of size 2"),
             (CONVERGE + ("{empty}",), "generator needs at least one depth"),

@@ -469,9 +469,9 @@ def test_generator_requires_matching_letters():
 
 def test_generator_exhaustion():
     x = Branch(2, (0,), (1,))  # letter 0 appears once, in the stem
-    assert CombGenerator.over(x, 0, 1, 1).depths == (0,)
-    with pytest.raises(GeneratorExhaustedError):
-        CombGenerator.over(x, 0, 1, 2)
+    for count in (1, 2):
+        with pytest.raises(GeneratorExhaustedError, match="recurs only finitely"):
+            CombGenerator.over(x, 0, 1, count)
 
 
 def test_teeth_continue_past_the_listed_depths():
@@ -479,8 +479,9 @@ def test_teeth_continue_past_the_listed_depths():
     gen = CombGenerator(x, 0, 1, (1,))
     assert list(itertools.islice(gen.teeth(), 5)) == [1, 3, 6, 9, 12]
     assert CombGenerator.over(x, 0, 1, 5).depths == (1, 3, 6, 9, 12)
-    # A letter absent from the period runs out in the stem.
-    assert list(CombGenerator(Branch(2, (0, 1, 0), (1,)), 0, 1, (0,)).teeth()) == [0, 2]
+    # A letter absent from the period would run out in the stem.
+    with pytest.raises(GeneratorExhaustedError, match="recurs only finitely"):
+        CombGenerator(Branch(2, (0, 1, 0), (1,)), 0, 1, (0,))
 
 
 def test_teeth_match_the_letter_scan():
@@ -491,14 +492,18 @@ def test_teeth_match_the_letter_scan():
         reads = [d for d in range(60) if x.letter(d) == i]
         if not reads:
             continue
-        assert CombGenerator.over(x, i, j, len(reads)).depths == tuple(reads)
         listed = tuple(sorted(rng.sample(reads, rng.randint(1, min(3, len(reads))))))
+        if i not in x.period:  # the teeth would run out in the stem
+            assert reads[-1] < len(x.stem)
+            with pytest.raises(GeneratorExhaustedError):
+                CombGenerator.over(x, i, j, len(reads))
+            with pytest.raises(GeneratorExhaustedError):
+                CombGenerator(x, i, j, listed)
+            continue
+        assert CombGenerator.over(x, i, j, len(reads)).depths == tuple(reads)
         want = list(listed) + [d for d in reads if d > listed[-1]]
         teeth = CombGenerator(x, i, j, listed).teeth()
-        if i in x.period:  # the teeth go on past the scanned letters
-            assert list(itertools.islice(teeth, len(want))) == want
-        else:  # they run out in the stem
-            assert list(teeth) == want and want[-1] < len(x.stem)
+        assert list(itertools.islice(teeth, len(want))) == want
 
 
 def test_comb_nodes_meet_and_incidence_facts():

@@ -510,13 +510,10 @@ class TestConvergence:
         assert not rep.stable
         assert rep.k0 is None and rep.horizon == 5
 
-    def test_exhaustion_below_horizon(self):
+    def test_finite_comb_is_refused_at_construction(self):
         # The branch 10^w reads letter 1 only once: no second tooth exists.
-        branch = Branch(2, (1,), (0,))
-        gen = CombGenerator(branch, 1, 0, (0,))
-        space = PartitionSpace(P20)
-        with pytest.raises(GeneratorExhaustedError):
-            verify_convergence(gen, space, [NodeTest(w())])
+        with pytest.raises(GeneratorExhaustedError, match="recurs only finitely"):
+            CombGenerator(Branch(2, (1,), (0,)), 1, 0, (0,))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_horizon_never_unstable(self, seed):
@@ -561,22 +558,22 @@ def _near_branch(rng: random.Random, x: Branch, max_period: int) -> Branch:
 
 
 def _random_case(rng: random.Random, period: int | None = None):
-    """Generator, space and tests.  The comb's branch has the given period
-    (at most 3 letters by default).  Class tests use that period or one of
-    at most 3 letters, which keeps the lcm, and with it the default
-    horizon, small enough for the brute-force oracle."""
+    """Comb (branch, i, j, depths), space and tests.  The comb's branch has
+    the given period (at most 3 letters by default).  Class tests use that
+    period or one of at most 3 letters, which keeps the lcm, and with it the
+    default horizon, small enough for the brute-force oracle."""
     m = rng.randint(2, 3)
     x = random_branch(rng, m)
     if period is not None:
         x = Branch(m, x.stem, tuple(rng.randrange(m) for _ in range(period)))
     i = x.letter(rng.randrange(len(x.stem) + len(x.period)))
     j = i if rng.random() < 0.5 else rng.randrange(m)
-    try:
-        depths = CombGenerator.over(x, i, j, 4).depths
-    except GeneratorExhaustedError:
-        depths = CombGenerator.over(x, i, j, 1).depths
+    # Four depths reading i, or one when i is read fewer times: it then lies
+    # only in the stem, and the comb is refused when built.  A refused case
+    # still makes all its draws, so the cases after it stay the same.
+    reads = [d for d in range(len(x.stem) + 4 * len(x.period)) if x.letter(d) == i]
+    depths = reads[: 4 if len(reads) >= 4 else 1]
     picked = tuple(d for d in depths if rng.random() < 0.6) or depths[:1]
-    gen = CombGenerator(x, i, j, picked)
     space = _random_space(rng, m)
     k = rng.randint(0, len(x.stem) + 4 * len(x.period) + 8)
     tests = [
@@ -590,16 +587,17 @@ def _random_case(rng: random.Random, period: int | None = None):
     tests += [ClassTest(y, rng.randrange(space.n)) for y in others]
     rng.shuffle(tests)
     horizon = None if rng.random() < 0.4 else rng.randint(1, 30)
-    return gen, space, tests, horizon
+    return (x, i, j, picked), space, tests, horizon
 
 
-def _compare_with_oracle(gen, space, tests, horizon) -> str:
-    try:
-        expected = convergence_oracle(gen, space, tests, horizon)
-    except GeneratorExhaustedError:
-        with pytest.raises(GeneratorExhaustedError):
-            verify_convergence(gen, space, tests, horizon)
-        return "exhausted"
+def _compare_with_oracle(comb, space, tests, horizon) -> str:
+    x, i = comb[:2]
+    if i not in x.period:
+        with pytest.raises(GeneratorExhaustedError, match="recurs only finitely"):
+            CombGenerator(*comb)
+        return "refused"
+    gen = CombGenerator(*comb)
+    expected = convergence_oracle(gen, space, tests, horizon)
     got = verify_convergence(gen, space, tests, horizon)
     assert got == expected, (gen, space, tests, horizon)
     if not all(r.stable for r in got):
@@ -613,7 +611,7 @@ class TestClosedFormConvergence:
     def test_short_periods_match_tooth_scan(self):
         rng = random.Random(0)
         seen = [_compare_with_oracle(*_random_case(rng)) for _ in range(900)]
-        for outcome in ("exhausted", "unstable", "late", "immediate"):
+        for outcome in ("refused", "unstable", "late", "immediate"):
             assert seen.count(outcome) >= 30, outcome
 
     def test_sparse_colours_match_tooth_scan(self):
@@ -622,20 +620,20 @@ class TestClosedFormConvergence:
         rng = random.Random(27)
         seen = []
         for _ in range(600):
-            gen, space, tests, horizon = _random_case(rng)
+            comb, space, tests, horizon = _random_case(rng)
             if isinstance(space, PartitionSpace):
                 space = PartitionSpace(recolor(rng, space.table))
-                seen.append(_compare_with_oracle(gen, space, tests, horizon))
-        for outcome in ("exhausted", "unstable", "late", "immediate"):
+                seen.append(_compare_with_oracle(comb, space, tests, horizon))
+        for outcome in ("refused", "unstable", "late", "immediate"):
             assert seen.count(outcome) >= 10, outcome
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_periods_match_tooth_scan(self, seed):
         rng = random.Random(100 + seed)
         for _ in range(10):
-            gen, space, tests, horizon = _random_case(rng, rng.randint(50, 70))
-            assert len(gen.branch.period) >= 50
-            _compare_with_oracle(gen, space, tests, horizon)
+            comb, space, tests, horizon = _random_case(rng, rng.randint(50, 70))
+            assert len(comb[0].period) >= 50
+            _compare_with_oracle(comb, space, tests, horizon)
 
     def test_period_200_against_period_201_finishes(self):
         # The tooth scan would build some 40,000 teeth of average length

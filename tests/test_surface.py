@@ -11,7 +11,8 @@ input is refused once, where it is read or built, and only the command
 line catches: outside cli.py the library has no try statement, and in
 cli.py only _load_json (which names the file in read and JSON errors) and
 main (which turns every ValueError into exit 3) have one.  Only words
-raises AlphabetError.
+raises AlphabetError, and only the comb generator's constructor raises
+GeneratorExhaustedError.
 
 The two space kinds answer the same rules.  No library line is longer than
 88 columns, and no library module keeps an import it never loads.  The
@@ -137,6 +138,17 @@ def test_only_words_raises_alphabet_error():
         if path.name != "words.py":
             for name, where in _raises(path):
                 assert name != "AlphabetError", where
+
+
+def test_only_the_generator_refuses_a_finite_comb():
+    # A comb whose letter does not recur is refused where it is built.
+    found = [
+        where
+        for path in MODULES + [SRC / "__init__.py"]
+        for name, where in _raises(path)
+        if name == "GeneratorExhaustedError"
+    ]
+    assert len(found) == 1 and found[0].startswith("patterns.py:"), found
 
 
 def _space_rules(cls) -> dict[str, str]:
