@@ -141,17 +141,20 @@ def _place(
     length swap their first moves with the order, so one pair gives both
     colours.  It takes its state as arguments because a nested function
     that calls itself is a reference cycle, which only the cyclic garbage
-    collector frees."""
+    collector frees.  It checks a candidate against the placed words in a
+    plain loop, because generator frames under all() cost more than the
+    first-move reads they wrap."""
     if u == len(fv):
         return chosen
     for w in range(len(words)):
         if diag[w] != fv[u][u] or w in chosen:
             continue
-        pairs = (_first_moves(words[w], words[wv]) for wv in chosen)
-        if all(
-            gv[i][j] == fv[u][v] and gv[j][i] == fv[v][u]
-            for v, (i, j) in enumerate(pairs)
-        ):
+        word = words[w]
+        for v, wv in enumerate(chosen):
+            i, j = _first_moves(word, words[wv])
+            if gv[i][j] != fv[u][v] or gv[j][i] != fv[v][u]:
+                break
+        else:
             chosen.append(w)
             hit = _place(u + 1, chosen, words, diag, fv, gv)
             if hit is not None:

@@ -19,7 +19,6 @@ from madic import (
     DisjointFamily,
     FirstMoveCheck,
     FirstMoveMap,
-    GeneratorExhaustedError,
     LimitPoint,
     NodePoint,
     NodeTest,
@@ -39,6 +38,7 @@ from madic import (
     is_prefix,
     meet,
     prefix_cmp,
+    reductions,
     validate_type,
     well_order_key,
 )
@@ -164,8 +164,6 @@ def tooth_depths(gen, count: int) -> list[int]:
     for d, a in enumerate(letters):
         if len(depths) >= count:
             break
-        if d >= len(x.stem) and gen.i not in x.period:
-            raise GeneratorExhaustedError(f"letter {gen.i} runs out on {x!r}")
         if d > gen.depths[-1] and a == gen.i:
             depths.append(d)
     return depths
@@ -439,6 +437,28 @@ def search_oracle(f: PartitionTable, g: PartitionTable, max_k: int):
             found = place(0)
             if found is not None:
                 return found
+    return None
+
+
+def place_oracle(u, chosen, words, diag, fv, gv):
+    """reductions._place as it was before its check became a plain loop:
+    all() over a generator of first-move pairs.  It reads _first_moves
+    through the module, so a test can count the calls of both."""
+    if u == len(fv):
+        return chosen
+    for w in range(len(words)):
+        if diag[w] != fv[u][u] or w in chosen:
+            continue
+        pairs = (reductions._first_moves(words[w], words[wv]) for wv in chosen)
+        if all(
+            gv[i][j] == fv[u][v] and gv[j][i] == fv[v][u]
+            for v, (i, j) in enumerate(pairs)
+        ):
+            chosen.append(w)
+            hit = place_oracle(u + 1, chosen, words, diag, fv, gv)
+            if hit is not None:
+                return hit
+            chosen.pop()
     return None
 
 

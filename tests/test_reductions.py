@@ -43,6 +43,7 @@ from conftest import (
     canonical_oracle,
     compositions,
     expand,
+    place_oracle,
     random_branch,
     random_table,
     random_word,
@@ -661,6 +662,35 @@ class TestSearchReduction:
             g = random_table(rng, 5, rng.randint(1, 6))
             f = random_table(rng, m0, rng.randint(1, min(g.n + 1, m0 * m0)))
             assert search_reduction(f, g, max_k) == search_oracle(f, g, max_k)
+
+    def test_place_matches_all_form(self, monkeypatch):
+        # The plain loop and the all() form it replaced return the same
+        # indices after the same first-move reads, anchor by anchor.
+        rng = random.Random(3200)
+        calls = [0]
+        real = reductions._first_moves
+
+        def counted(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        def run(place, words, diag, f, g):
+            calls[0] = 0
+            return place(0, [], words, diag, f.values, g.values), calls[0]
+
+        monkeypatch.setattr(reductions, "_first_moves", counted)
+        hits = 0
+        for _ in range(1000):
+            m1, k, m0 = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            g = random_table(rng, m1, rng.randint(1, min(4, m1 * m1)))
+            f = random_table(rng, m0, rng.randint(1, min(g.n, m0 * m0)))
+            words = list(itertools.product(range(m1), repeat=k))
+            x = tuple(rng.randrange(m1) for _ in range(rng.randrange(k)))
+            diag = [g.values[i][j] for i, j in (real(w, x) for w in words)]
+            got = run(reductions._place, words, diag, f, g)
+            assert got == run(place_oracle, words, diag, f, g)
+            hits += got[0] is not None
+        assert 0 < hits < 1000
 
     def test_embeddings_found_by_block_length_m0_plus_one(self):
         # f = g o eps for random embeddings of block length up to m0 + 3;
